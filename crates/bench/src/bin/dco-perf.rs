@@ -1,444 +1,74 @@
-//! `dco-perf` — the recorded performance baseline of the simulator core.
-//!
-//! Times the figures workload (§IV parameters — 100 chunks, 32 neighbors,
-//! 200 s horizon, static DCO ring — with the population scaled up) and
-//! writes `BENCH_sim_core.json` in a `dco-perf/v1` schema modelled on the
-//! sweep report's `dco-sweep/v1`. The committed JSON carries both the
-//! pre-optimization baseline (pinned in [`PRE_PR_BASELINE`], measured on
-//! the seed engine with this same harness) and the current measurement, so
-//! later PRs have a trajectory to beat.
+//! `dco-perf` — the sharded multi-process run of the figures workload.
 //!
 //! ```text
-//! dco-perf [--populations 1000,5000,10000] [--runs 5]
-//!          [--out BENCH_sim_core.json] [--label NAME] [--stdout]
-//! dco-perf --scale        # large-N memory ladder → BENCH_scale.json
-//! dco-perf --scale-churn  # churn (figs 11-12) ladder → BENCH_churn_scale.json
-//! dco-perf --digests      # golden trace-digest table for tests/determinism.rs
-//! dco-perf --shards 4 --populations 100000   # multi-process run → BENCH_shard.json
+//! dco-perf --shards K [--churn] [--populations N[,N...]] [--out F | --stdout]
 //! ```
 //!
-//! `--shards K` runs the figures workload once per population as a
+//! Runs the figures workload (§IV parameters — 100 chunks, 32 neighbors,
+//! 200 s horizon, static DCO ring, seed 42) once per population as a
 //! *sharded multi-process* simulation: `K` re-execs of this binary (the
 //! hidden `--shard-worker` mode), each owning a contiguous ring arc,
 //! exchanging cross-shard messages in lookahead-sized epochs over their
 //! stdio pipes. For every population the single-process canonical run
 //! (the same key-ordered engine at `K = 1`) executes first; the sharded
 //! run's folded root digest must reproduce its set digest bit-for-bit or
-//! the run fails. `BENCH_shard.json` records per-shard event counts,
-//! cross-shard message volume, the peak-live-bytes maximum over workers,
-//! both wall clocks and the speedup — plus the host's core count, since
-//! K workers on fewer than K cores time-slice rather than parallelize
-//! (`--churn` switches the workload onto the figs 11–12 churn model).
+//! the run fails. The `dco-shard/v1` report (default `BENCH_shard.json`)
+//! records per-shard event counts, cross-shard message volume, the
+//! peak-live-bytes maximum over workers, both wall clocks and the speedup
+//! — plus the host's core count, since K workers on fewer than K cores
+//! time-slice rather than parallelize (`--churn` switches the workload
+//! onto the figs 11–12 churn model).
 //!
-//! Every run also records its trace digest: static DCO runs are
-//! deterministic, so the digest per population doubles as a cross-engine
-//! determinism check (an optimized engine must reproduce it bit-for-bit).
-//!
-//! `--scale` runs the memory ladder (N = 1k → 100k, one run each) and
-//! writes `BENCH_scale.json`: per tier, wall clock, peak live bytes (from
-//! the counting allocator's high-water mark) and bytes per node. The
-//! bytes/node column is the flat-layout check — it must stay roughly
-//! constant as N grows (no super-linear memory).
-//!
-//! `--scale-churn` is the same ladder under the figures 11–12 churn model
-//! (`ChurnConfig::paper_fig11`: mean lifetime = join interval = 60 s, all
-//! departures abrupt, dynamic Chord ring with live stabilization), writing
-//! `BENCH_churn_scale.json`. Churn runs at a fixed seed are deterministic,
-//! so each tier's digest is pinned the same way as the static ladder —
-//! [`PRE_FLAT_CHURN_DIGESTS`] carries the pre-flattening values and any
-//! drift hard-fails the run.
+//! Host-time measurement lives in `perfbench/` (see `BENCHMARK.json`);
+//! the pinned trace and canonical digests live in `tests/determinism.rs`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use dco_bench::shard_run::{orchestrate, run_shard_worker, run_single_canonical, MergedRun};
 use dco_bench::sweep::json::Json;
-use dco_bench::{run_with_stats, Method, RunParams};
+use dco_bench::RunParams;
 use dco_shard::link::PipeLink;
 use dco_shard::procpool::{reap_failure, spawn_worker, WorkerProc};
-use dco_sim::counters::perf::{CountingAlloc, PerfMeter, PerfSample};
-use dco_sim::time::{SimDuration, SimTime};
-use dco_workload::{ChurnConfig, ScenarioGrid};
+use dco_sim::counters::perf::{CountingAlloc, PerfMeter};
+use dco_workload::ChurnConfig;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Medians measured on the pre-PR engine (binary-heap calendar, deep-copy
-/// fan-out, BTreeMap DHT stores) with this harness: `(n_nodes,
-/// wall_ms_median, events, trace_digest)`. Regenerate by checking out the
-/// commit before the hot-path overhaul and running `dco-perf --stdout`.
-const PRE_PR_BASELINE: &[(u32, f64, u64, u64)] = &[
-    (1_000, 3596.764587, 7_258_472, 0xfedd_21ae_0462_f672),
-    (5_000, 42267.476771, 42_659_350, 0xabe2_aa4c_859a_84cc),
-    (10_000, 141439.299442, 91_365_887, 0x10ef_10a0_8935_a8b8),
-];
-
-/// Digests of the figures workload measured on the retained-observer
-/// engine (the commit before the flat-layout PR) at the large-N tiers the
-/// seed engine could not reach in reasonable time. The flat engine must
-/// reproduce them bit-for-bit: the layout change is not allowed to move a
-/// single event.
-const PRE_FLAT_DIGESTS: &[(u32, u64, u64)] = &[
-    (50_000, 572_125_634, 0x5b90_2f59_2f12_da68),
-    (100_000, 1_270_885_329, 0x79c2_50f0_fd68_ba07),
-];
-
-/// Digests of the churn figures workload (figs 11–12 shape,
-/// `ChurnConfig::paper_fig11`, seed 42) measured on the engine *before*
-/// the churn books were flattened, at the tiers that engine could reach
-/// (1k/10k). The flat churn path must reproduce them bit-for-bit — the
-/// CI `churn-scale-smoke` job asserts this on every PR. The 50k entry was
-/// recorded on the flat engine (the first that fits the tier) and pins
-/// the tier against future drift.
-const PRE_FLAT_CHURN_DIGESTS: &[(u32, u64, u64)] = &[
-    (1_000, 13_019_723, 0x7054_7214_70b6_2603),
-    (10_000, 152_428_043, 0x8f05_16e3_66f1_8e2e),
-    (50_000, 830_212_465, 0xb2e5_7273_57d3_b252),
-];
-
-/// Canonical single-process set digests of the sharded (key-ordered)
-/// engine on the figures workload: `(n_nodes, churn, owned_events,
-/// set_digest)`. The `K = 1` run defines them; every `K` must fold back
-/// to the same root digest, and the `shard-smoke` CI job re-checks the
-/// small tiers on each push. Regenerate with
-/// `dco-perf --shards 1 --populations N [--churn] --stdout`.
-const SHARD_CANONICAL_DIGESTS: &[(u32, bool, u64, u64)] = &[
-    (1_000, false, 7_280_215, 0x2afc_390e_2ce4_91bd),
-    (10_000, false, 90_461_498, 0x88ef_a932_000b_b76d),
-    (1_000, true, 13_000_317, 0x9c2b_e5aa_ec6f_2a3c),
-    (10_000, true, 153_109_518, 0x506c_0da9_4974_3478),
-];
-
-const PRE_PR_LABEL: &str = "pre-pr2-seed-engine";
-const DEFAULT_POPULATIONS: [u32; 3] = [1_000, 5_000, 10_000];
-/// The `--scale` memory ladder.
-const SCALE_POPULATIONS: [u32; 4] = [1_000, 10_000, 50_000, 100_000];
-/// The `--scale-churn` ladder (churn runs cost ~7x static per node, so
-/// the ladder tops out at 50k; the 50k tier runs nightly, not per-PR).
-const CHURN_SCALE_POPULATIONS: [u32; 3] = [1_000, 10_000, 50_000];
-const DEFAULT_RUNS: usize = 5;
-const DEFAULT_OUT: &str = "BENCH_sim_core.json";
-const SCALE_OUT: &str = "BENCH_scale.json";
-const CHURN_SCALE_OUT: &str = "BENCH_churn_scale.json";
-const SHARD_OUT: &str = "BENCH_shard.json";
-/// Default populations of the `--shards` mode (CI smoke overrides with
-/// `--populations`; the headline run passes `--populations 100000`).
-const SHARD_POPULATIONS: [u32; 2] = [1_000, 10_000];
+const USAGE: &str =
+    "usage: dco-perf --shards K [--churn] [--populations N[,N...]] [--out F | --stdout]";
+const DEFAULT_OUT: &str = "BENCH_shard.json";
+/// Populations run when `--populations` is not given.
+const DEFAULT_POPULATIONS: [u32; 2] = [1_000, 10_000];
 
 /// The figures workload at population `n`: §IV defaults with the node
 /// count overridden and the seed fixed (static DCO is seed-invariant).
-fn figures_params(n_nodes: u32) -> RunParams {
+/// `churn` switches it onto `ChurnConfig::paper_fig11` — mean lifetime =
+/// join interval = 60 s, all departures abrupt — which runs the dynamic
+/// Chord ring (live stabilization, finger repair, coordinator churn).
+fn shard_params(n_nodes: u32, churn: bool) -> RunParams {
     let mut p = RunParams::paper_default(42);
     p.n_nodes = n_nodes;
-    p
-}
-
-/// The churn figures workload (figs 11–12 shape) at population `n`: the
-/// same §IV defaults under `ChurnConfig::paper_fig11` — mean lifetime =
-/// join interval = 60 s, all departures abrupt — which switches the run
-/// onto the dynamic Chord ring (live stabilization, finger repair,
-/// coordinator churn).
-fn churn_figures_params(n_nodes: u32) -> RunParams {
-    let mut p = figures_params(n_nodes);
-    p.churn = Some(ChurnConfig::paper_fig11());
-    p
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-struct PopulationReport {
-    n_nodes: u32,
-    samples: Vec<PerfSample>,
-    trace_digest: u64,
-}
-
-impl PopulationReport {
-    /// Peak live bytes over the runs (they are deterministic, so max ≈
-    /// median; max is robust against a cold first run).
-    fn peak_live_bytes(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.peak_live_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-fn measure_population(n_nodes: u32, runs: usize) -> PopulationReport {
-    measure_workload(n_nodes, runs, false)
-}
-
-fn measure_workload(n_nodes: u32, runs: usize, churn: bool) -> PopulationReport {
-    let params = if churn {
-        churn_figures_params(n_nodes)
-    } else {
-        figures_params(n_nodes)
-    };
-    let mut samples = Vec::with_capacity(runs);
-    let mut trace_digest = None;
-    for run in 0..runs {
-        let meter = PerfMeter::start();
-        let stats = run_with_stats(Method::Dco, &params);
-        let sample = meter.finish(stats.proof.events);
-        eprintln!(
-            "  n={n_nodes} run {}/{}: {:.1} ms, {} events ({:.2} Mev/s), {} allocs, peak {:.1} MiB",
-            run + 1,
-            runs,
-            sample.wall_ms(),
-            sample.events,
-            sample.events_per_sec() / 1e6,
-            sample.alloc.allocs,
-            sample.peak_live_bytes as f64 / (1024.0 * 1024.0),
-        );
-        match trace_digest {
-            None => trace_digest = Some(stats.proof.trace_digest),
-            Some(d) => assert_eq!(
-                d, stats.proof.trace_digest,
-                "n={n_nodes}: repeat run diverged — determinism bug"
-            ),
-        }
-        samples.push(sample);
-    }
-    let report = PopulationReport {
-        n_nodes,
-        samples,
-        trace_digest: trace_digest.expect("runs >= 1"),
-    };
-    let pinned = if churn {
-        PRE_FLAT_CHURN_DIGESTS
-    } else {
-        PRE_FLAT_DIGESTS
-    };
-    if let Some((_, events, digest)) = pinned.iter().find(|(n, ..)| *n == n_nodes) {
-        let sample_events = report.samples[0].events;
-        assert_eq!(
-            *digest, report.trace_digest,
-            "n={n_nodes}: trace digest {:#018x} diverged from the pre-flat engine — \
-             the layout change moved an event",
-            report.trace_digest
-        );
-        assert_eq!(*events, sample_events, "n={n_nodes}: event count diverged");
-        eprintln!("  n={n_nodes}: digest matches pre-flat engine");
-    }
-    report
-}
-
-fn population_json(rep: &PopulationReport) -> Json {
-    let mut wall: Vec<f64> = rep.samples.iter().map(|s| s.wall_ms()).collect();
-    let runs_json = Json::Arr(wall.iter().map(|w| Json::Num(*w)).collect());
-    let wall_median = median(&mut wall);
-    let wall_min = wall.first().copied().unwrap_or(0.0);
-    let wall_mean = wall.iter().sum::<f64>() / wall.len().max(1) as f64;
-    let events = rep.samples.first().map(|s| s.events).unwrap_or(0);
-    let events_per_sec = if wall_median > 0.0 {
-        events as f64 / (wall_median / 1e3)
-    } else {
-        0.0
-    };
-    let allocs = rep
-        .samples
-        .iter()
-        .map(|s| s.alloc.allocs)
-        .min()
-        .unwrap_or(0);
-    let alloc_bytes = rep.samples.iter().map(|s| s.alloc.bytes).min().unwrap_or(0);
-    let peak_live = rep.peak_live_bytes();
-    let live_end = rep
-        .samples
-        .iter()
-        .map(|s| s.live_bytes_end)
-        .max()
-        .unwrap_or(0);
-    let baseline = PRE_PR_BASELINE.iter().find(|(n, ..)| *n == rep.n_nodes);
-    let mut pairs = vec![
-        ("n_nodes", Json::Int(u64::from(rep.n_nodes))),
-        ("wall_ms_median", Json::Num(wall_median)),
-        ("wall_ms_min", Json::Num(wall_min)),
-        ("wall_ms_mean", Json::Num(wall_mean)),
-        ("wall_ms_runs", runs_json),
-        ("events", Json::Int(events)),
-        ("events_per_sec_median", Json::Num(events_per_sec)),
-        ("allocs_min", Json::Int(allocs)),
-        ("alloc_bytes_min", Json::Int(alloc_bytes)),
-        ("peak_live_bytes", Json::Int(peak_live)),
-        (
-            "bytes_per_node",
-            Json::Int(peak_live / u64::from(rep.n_nodes.max(1))),
-        ),
-        ("live_bytes_end", Json::Int(live_end)),
-        ("trace_digest", Json::hex(rep.trace_digest)),
-    ];
-    if let Some((_, base_ms, base_events, base_digest)) = baseline {
-        pairs.push(("baseline_wall_ms_median", Json::Num(*base_ms)));
-        pairs.push((
-            "speedup_vs_baseline",
-            if wall_median > 0.0 {
-                Json::Num(base_ms / wall_median)
-            } else {
-                Json::Null
-            },
-        ));
-        pairs.push((
-            "events_match_baseline",
-            Json::Bool(*base_events == 0 || *base_events == events),
-        ));
-        pairs.push((
-            "trace_digest_matches_baseline",
-            Json::Bool(*base_digest == 0 || *base_digest == rep.trace_digest),
-        ));
-    }
-    Json::obj(pairs)
-}
-
-fn baseline_json() -> Json {
-    Json::obj(vec![
-        ("label", Json::str(PRE_PR_LABEL)),
-        (
-            "populations",
-            Json::Arr(
-                PRE_PR_BASELINE
-                    .iter()
-                    .map(|(n, ms, events, digest)| {
-                        Json::obj(vec![
-                            ("n_nodes", Json::Int(u64::from(*n))),
-                            ("wall_ms_median", Json::Num(*ms)),
-                            ("events", Json::Int(*events)),
-                            ("trace_digest", Json::hex(*digest)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn report_json(label: &str, runs: usize, reports: &[PopulationReport]) -> Json {
-    let params = figures_params(0);
-    Json::obj(vec![
-        ("schema", Json::str("dco-perf/v1")),
-        (
-            "scenario",
-            Json::obj(vec![
-                ("method", Json::str("DCO")),
-                ("n_chunks", Json::Int(u64::from(params.n_chunks))),
-                ("neighbors", Json::Int(params.neighbors as u64)),
-                ("horizon_s", Json::Int(params.horizon.as_secs())),
-                ("seed", Json::Int(params.seed)),
-                ("churn", Json::Bool(false)),
-            ]),
-        ),
-        ("runs_per_population", Json::Int(runs as u64)),
-        ("baseline", baseline_json()),
-        (
-            "current",
-            Json::obj(vec![
-                ("label", Json::str(label)),
-                (
-                    "populations",
-                    Json::Arr(reports.iter().map(population_json).collect()),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Runs the `--scale` / `--scale-churn` memory ladder: the (static or
-/// churn) figures workload at each tier, one run each, reporting peak
-/// live bytes and bytes/node. Returns the report JSON.
-fn run_scale(label: &str, churn: bool, tiers: &[u32]) -> Json {
-    let reports: Vec<PopulationReport> = tiers
-        .iter()
-        .map(|&n| measure_workload(n, 1, churn))
-        .collect();
-    // Linearity check: bytes/node at the largest tier vs the smallest.
-    // Flat layouts keep this ratio near 1; the retained observer's
-    // audience × chunk growth pushed it well above.
-    let bytes_per_node =
-        |rep: &PopulationReport| rep.peak_live_bytes() as f64 / f64::from(rep.n_nodes.max(1));
-    let growth = match (reports.first(), reports.last()) {
-        (Some(a), Some(b)) if bytes_per_node(a) > 0.0 => bytes_per_node(b) / bytes_per_node(a),
-        _ => 0.0,
-    };
-    eprintln!("dco-perf: bytes/node growth smallest→largest tier: {growth:.2}x");
-    let tiers = reports
-        .iter()
-        .map(|rep| {
-            let sample = &rep.samples[0];
-            Json::obj(vec![
-                ("n_nodes", Json::Int(u64::from(rep.n_nodes))),
-                ("wall_ms", Json::Num(sample.wall_ms())),
-                ("events", Json::Int(sample.events)),
-                ("events_per_sec", Json::Num(sample.events_per_sec())),
-                ("peak_live_bytes", Json::Int(rep.peak_live_bytes())),
-                (
-                    "bytes_per_node",
-                    Json::Int(rep.peak_live_bytes() / u64::from(rep.n_nodes.max(1))),
-                ),
-                ("live_bytes_end", Json::Int(sample.live_bytes_end)),
-                ("trace_digest", Json::hex(rep.trace_digest)),
-            ])
-        })
-        .collect();
-    let params = figures_params(0);
-    Json::obj(vec![
-        ("schema", Json::str("dco-scale/v1")),
-        ("label", Json::str(label)),
-        (
-            "scenario",
-            Json::obj(vec![
-                ("method", Json::str("DCO")),
-                ("n_chunks", Json::Int(u64::from(params.n_chunks))),
-                ("neighbors", Json::Int(params.neighbors as u64)),
-                ("horizon_s", Json::Int(params.horizon.as_secs())),
-                ("seed", Json::Int(params.seed)),
-                ("churn", Json::Bool(churn)),
-            ]),
-        ),
-        (
-            "bytes_per_node_growth_smallest_to_largest",
-            Json::Num(growth),
-        ),
-        ("populations", Json::Arr(tiers)),
-    ])
-}
-
-fn shard_params(n_nodes: u32, churn: bool) -> RunParams {
     if churn {
-        churn_figures_params(n_nodes)
-    } else {
-        figures_params(n_nodes)
+        p.churn = Some(ChurnConfig::paper_fig11());
     }
+    p
 }
 
 /// Hidden `--shard-worker` mode: run one shard's arc of the figures
 /// workload, speaking the epoch protocol over this process's stdio.
-fn shard_worker_main(args: &Args) -> Result<(), String> {
-    let me = args.shard_worker.expect("worker mode");
-    if args.shards == 0 || me >= args.shards {
+fn shard_worker_main(args: &Args, me: u8) -> Result<(), String> {
+    if me >= args.shards {
         return Err(format!("--shard-worker {me} needs --shards > {me}"));
     }
-    let n = *args
-        .populations
-        .first()
-        .ok_or("worker needs --populations N")?;
-    let params = shard_params(n, args.churn);
+    let params = shard_params(args.populations[0], args.churn);
     let mut link = PipeLink::new(std::io::stdin(), std::io::stdout());
     run_shard_worker(&params, args.shards, me, &mut link).map_err(|e| format!("worker {me}: {e}"))
 }
 
-/// One population tier of the `--shards` mode: canonical single-process
-/// run, then the K-process run, digests cross-checked.
+/// One population tier: canonical single-process run, then the K-process
+/// run, digests cross-checked.
 struct ShardTier {
     n_nodes: u32,
     single: dco_bench::shard_run::SingleRun,
@@ -452,27 +82,14 @@ fn run_shard_tier(n: u32, churn: bool, k: u8) -> Result<ShardTier, String> {
     eprintln!("dco-perf: n={n} churn={churn}: single-process canonical run");
     let meter = PerfMeter::start();
     let single = run_single_canonical(&params);
-    let single_sample = meter.finish(single.events_processed);
+    let single_peak_live = meter.finish().peak_live_bytes;
     eprintln!(
         "  single: {:.1} ms, {} owned events, set digest {:#018x}, peak {:.1} MiB",
         single.wall_ms,
         single.owned_events,
         single.set_digest,
-        single_sample.peak_live_bytes as f64 / (1024.0 * 1024.0),
+        single_peak_live as f64 / (1024.0 * 1024.0),
     );
-    if let Some(&(_, _, events, digest)) = SHARD_CANONICAL_DIGESTS
-        .iter()
-        .find(|&&(nn, ch, ..)| nn == n && ch == churn)
-    {
-        if digest != single.set_digest || events != single.owned_events {
-            return Err(format!(
-                "n={n} churn={churn}: canonical run drifted from the pinned table: \
-                 owned={} set={:#018x}, pinned owned={events} set={digest:#018x}",
-                single.owned_events, single.set_digest
-            ));
-        }
-        eprintln!("  canonical digest matches the pinned table");
-    }
 
     eprintln!("  spawning {k} shard workers");
     let t0 = Instant::now();
@@ -548,7 +165,7 @@ fn run_shard_tier(n: u32, churn: bool, k: u8) -> Result<ShardTier, String> {
     Ok(ShardTier {
         n_nodes: n,
         single,
-        single_peak_live: single_sample.peak_live_bytes,
+        single_peak_live,
         merged,
         sharded_wall_ms,
     })
@@ -620,17 +237,12 @@ fn shard_tier_json(tier: &ShardTier) -> Json {
 
 fn run_shards(args: &Args) -> Result<Json, String> {
     let k = args.shards;
-    let tiers: Vec<u32> = if args.populations_explicit {
-        args.populations.clone()
-    } else {
-        SHARD_POPULATIONS.to_vec()
-    };
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
     eprintln!(
-        "dco-perf: sharded mode, K={k}, populations {tiers:?}, churn={}, host cores {host_cores}",
-        args.churn
+        "dco-perf: sharded mode, K={k}, populations {:?}, churn={}, host cores {host_cores}",
+        args.populations, args.churn
     );
     if host_cores < u64::from(k) {
         eprintln!(
@@ -638,14 +250,15 @@ fn run_shards(args: &Args) -> Result<Json, String> {
              expect speedup <= 1; digests are still fully checked"
         );
     }
-    let reports: Vec<ShardTier> = tiers
+    let reports: Vec<ShardTier> = args
+        .populations
         .iter()
         .map(|&n| run_shard_tier(n, args.churn, k))
         .collect::<Result<_, _>>()?;
     let params = shard_params(0, args.churn);
     Ok(Json::obj(vec![
         ("schema", Json::str("dco-shard/v1")),
-        ("label", Json::str(&args.label)),
+        ("label", Json::str("current")),
         ("k_shards", Json::Int(u64::from(k))),
         ("host_cores", Json::Int(host_cores)),
         (
@@ -666,54 +279,24 @@ fn run_shards(args: &Args) -> Result<Json, String> {
     ]))
 }
 
-/// Prints the golden trace-digest table for the five cross-protocol seeds:
-/// every method, with and without churn, on the small determinism cell.
-/// The output is the Rust table pinned in `tests/determinism.rs`.
-fn print_digest_table() {
-    let seeds = ScenarioGrid::seed_list(0xC2055, 5);
-    println!("const GOLDEN_DIGESTS: &[(&str, bool, u64, u64)] = &[");
-    for method in [
-        Method::Dco,
-        Method::Pull,
-        Method::Push,
-        Method::Tree,
-        Method::TreeStar,
-    ] {
-        for churn in [false, true] {
-            for &seed in &seeds {
-                let params = RunParams {
-                    n_nodes: 20,
-                    n_chunks: 8,
-                    neighbors: 8,
-                    churn: churn.then(|| ChurnConfig::paper_fig12(25)),
-                    horizon: SimTime::from_secs(50),
-                    tree_degree: Some(2),
-                    fill_offset: SimDuration::from_secs(5),
-                    seed,
-                };
-                let stats = run_with_stats(method, &params);
-                println!(
-                    "    ({:?}, {churn}, {seed:#x}, {:#018x}),",
-                    method.label(),
-                    stats.proof.trace_digest
-                );
-            }
-        }
-    }
-    println!("];");
+struct Args {
+    populations: Vec<u32>,
+    out: String,
+    stdout: bool,
+    /// Run the churn (figs 11–12) workload instead of the static one.
+    churn: bool,
+    /// Worker-process count (at least 1).
+    shards: u8,
+    /// Hidden: this process is shard worker `me` of `shards` — speak the
+    /// epoch protocol on stdin/stdout and exit.
+    shard_worker: Option<u8>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         populations: DEFAULT_POPULATIONS.to_vec(),
-        populations_explicit: false,
-        runs: DEFAULT_RUNS,
         out: DEFAULT_OUT.to_string(),
-        label: "current".to_string(),
         stdout: false,
-        digests: false,
-        scale: false,
-        scale_churn: false,
         churn: false,
         shards: 0,
         shard_worker: None,
@@ -727,19 +310,9 @@ fn parse_args() -> Result<Args, String> {
                     .split(',')
                     .map(|s| s.trim().parse::<u32>().map_err(|e| format!("{s}: {e}")))
                     .collect::<Result<_, _>>()?;
-                args.populations_explicit = true;
-            }
-            "--runs" => {
-                args.runs = value("--runs")?
-                    .parse()
-                    .map_err(|e| format!("--runs: {e}"))?;
             }
             "--out" => args.out = value("--out")?,
-            "--label" => args.label = value("--label")?,
             "--stdout" => args.stdout = true,
-            "--digests" => args.digests = true,
-            "--scale" => args.scale = true,
-            "--scale-churn" => args.scale_churn = true,
             "--churn" => args.churn = true,
             "--shards" => {
                 args.shards = value("--shards")?
@@ -759,48 +332,27 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if args.runs == 0 || args.populations.is_empty() {
-        return Err("need at least one run and one population".to_string());
+    if args.shards == 0 {
+        return Err("--shards K is required (host timing lives in perfbench, \
+                    pinned digests in tests/determinism.rs)"
+            .to_string());
+    }
+    if args.populations.is_empty() {
+        return Err("need at least one population".to_string());
     }
     Ok(args)
-}
-
-struct Args {
-    populations: Vec<u32>,
-    /// True when `--populations` was given on the command line — lets the
-    /// scale ladders run a subset of tiers (CI smoke runs 1k/10k only).
-    populations_explicit: bool,
-    runs: usize,
-    out: String,
-    label: String,
-    stdout: bool,
-    digests: bool,
-    scale: bool,
-    scale_churn: bool,
-    /// `--shards` mode only: run the churn (figs 11–12) workload instead
-    /// of the static one.
-    churn: bool,
-    /// Worker-process count of the sharded mode (0 = sharded mode off).
-    shards: u8,
-    /// Hidden: this process is shard worker `me` of `shards` — speak the
-    /// epoch protocol on stdin/stdout and exit.
-    shard_worker: Option<u8>,
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("dco-perf: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("dco-perf: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
-    if args.digests {
-        print_digest_table();
-        return ExitCode::SUCCESS;
-    }
-    if args.shard_worker.is_some() {
-        return match shard_worker_main(&args) {
+    if let Some(me) = args.shard_worker {
+        return match shard_worker_main(&args, me) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("dco-perf: {e}");
@@ -808,75 +360,13 @@ fn main() -> ExitCode {
             }
         };
     }
-    if args.shards > 0 {
-        let json = match run_shards(&args) {
-            Ok(j) => j.render_pretty(),
-            Err(e) => {
-                eprintln!("dco-perf: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let out = if args.out != DEFAULT_OUT {
-            args.out.as_str()
-        } else {
-            SHARD_OUT
-        };
-        if args.stdout {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("dco-perf: writing {out}: {e}");
+    let json = match run_shards(&args) {
+        Ok(j) => j.render_pretty(),
+        Err(e) => {
+            eprintln!("dco-perf: {e}");
             return ExitCode::FAILURE;
-        } else {
-            eprintln!("dco-perf: wrote {out}");
         }
-        return ExitCode::SUCCESS;
-    }
-    if args.scale || args.scale_churn {
-        let churn = args.scale_churn;
-        let tiers: Vec<u32> = if args.populations_explicit {
-            args.populations.clone()
-        } else if churn {
-            CHURN_SCALE_POPULATIONS.to_vec()
-        } else {
-            SCALE_POPULATIONS.to_vec()
-        };
-        eprintln!(
-            "dco-perf: {} ladder, populations {:?}, 1 run each",
-            if churn {
-                "churn-scale (figs 11-12)"
-            } else {
-                "memory-scale"
-            },
-            tiers
-        );
-        let json = run_scale(&args.label, churn, &tiers).render_pretty();
-        let out = if args.out != DEFAULT_OUT {
-            args.out.as_str()
-        } else if churn {
-            CHURN_SCALE_OUT
-        } else {
-            SCALE_OUT
-        };
-        if args.stdout {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("dco-perf: writing {out}: {e}");
-            return ExitCode::FAILURE;
-        } else {
-            eprintln!("dco-perf: wrote {out}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    eprintln!(
-        "dco-perf: figures workload, populations {:?}, {} runs each",
-        args.populations, args.runs
-    );
-    let reports: Vec<PopulationReport> = args
-        .populations
-        .iter()
-        .map(|&n| measure_population(n, args.runs))
-        .collect();
-    let json = report_json(&args.label, args.runs, &reports).render_pretty();
+    };
     if args.stdout {
         print!("{json}");
     } else if let Err(e) = std::fs::write(&args.out, &json) {
@@ -884,24 +374,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     } else {
         eprintln!("dco-perf: wrote {}", args.out);
-    }
-    for rep in &reports {
-        let mut wall: Vec<f64> = rep.samples.iter().map(|s| s.wall_ms()).collect();
-        let med = median(&mut wall);
-        let base = PRE_PR_BASELINE
-            .iter()
-            .find(|(n, ..)| *n == rep.n_nodes)
-            .map(|(_, ms, ..)| *ms);
-        match base {
-            Some(b) if med > 0.0 => {
-                eprintln!(
-                    "  n={}: median {med:.1} ms ({:.2}x vs baseline)",
-                    rep.n_nodes,
-                    b / med
-                )
-            }
-            _ => eprintln!("  n={}: median {med:.1} ms", rep.n_nodes),
-        }
     }
     ExitCode::SUCCESS
 }

@@ -142,7 +142,7 @@ pub fn run_shard_worker<L: FrameLink>(
     let meter = PerfMeter::start();
     run_worker(&mut sim, params.horizon, lookahead, link, |sim| {
         let stats = sim.shard_stats().expect("sharding enabled");
-        let sample = meter.finish(sim.stats().events_processed);
+        let sample = meter.finish();
         encode_to_vec(&WorkerSummary {
             shard: me,
             owned_events: stats.owned_events,

@@ -1,5 +1,5 @@
 //! End-to-end tests of the multi-process binaries: the real `dco-perf`
-//! sharded mode (re-exec'd workers over stdio pipes) and the real
+//! (re-exec'd workers over stdio pipes) and the real
 //! `dco-sweep --fork-seeds` path, spawned via `CARGO_BIN_EXE_*`.
 //!
 //! The lib tests (`shard_run`) already prove shard-count invariance over
@@ -78,6 +78,31 @@ fn shard_worker_index_out_of_range_is_rejected() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--shard-worker"), "{err}");
+}
+
+/// `dco-perf` runs only the sharded mode: without `--shards`, or with a
+/// flag it does not know (such as the old `--scale` or `--digests`), it
+/// exits 2 with its usage line.
+#[test]
+fn dco_perf_refuses_removed_modes() {
+    for argv in [
+        &[][..],
+        &["--populations", "100"][..],
+        &["--scale"][..],
+        &["--shards", "2", "--populations", "100", "--digests"][..],
+    ] {
+        let out = perf().args(argv).output().expect("spawn dco-perf");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "dco-perf {argv:?} must be refused"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("usage: dco-perf --shards K"),
+            "{argv:?}: {err}"
+        );
+    }
 }
 
 /// `--fork-seeds` must write a byte-identical report to the in-process

@@ -17,8 +17,8 @@
 //! Both are deterministic by construction (contents depend only on the
 //! operation sequence), and both are property-tested against the retained
 //! reference models in `tests/proptest_chord.rs` — the flat layout must
-//! not change a single decision, because the churn trace digests in
-//! `BENCH_churn_scale.json` are gated bit-identical across the conversion.
+//! not change a single decision, because the churn trace digests pinned in
+//! `tests/determinism.rs` are gated bit-identical across the conversion.
 
 use dco_sim::node::NodeId;
 

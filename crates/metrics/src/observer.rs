@@ -356,7 +356,7 @@ impl StreamObserver {
     /// not to the metric count. Accumulation order per metric matches the
     /// per-metric methods exactly, so every derived float is bit-identical
     /// to its slow-path counterpart (asserted by a unit test and by the
-    /// pinned trace digests in `dco-perf`).
+    /// pinned digest table in `tests/determinism.rs`).
     pub fn fold_figures(&self, horizon: SimTime, offsets: &[SimDuration]) -> FigureMetrics {
         let horizon_secs = horizon.as_secs();
         let mut cumulative = vec![0u64; horizon_secs as usize + 1];

@@ -179,15 +179,16 @@ impl Counters {
     }
 }
 
-/// Allocation and event-rate accounting for the perf harness.
+/// Allocation accounting for the measuring binaries.
 ///
 /// [`perf::CountingAlloc`] wraps the system allocator behind relaxed atomic
-/// counters; a perf binary installs it with `#[global_allocator]` and
-/// brackets each measured region with [`perf::AllocStats::snapshot`]. The
-/// simulation itself never reads these counters — they exist so `dco-perf`
-/// can report allocations-per-run alongside wall clock without dragging a
-/// profiler into the tree. In binaries that do *not* install the allocator
-/// every snapshot is zero and the deltas degrade gracefully.
+/// counters; a binary installs it with `#[global_allocator]` and brackets
+/// each measured region with [`perf::AllocStats::snapshot`]. The
+/// simulation itself never reads these counters — they exist so
+/// `perfbench` and the sharded runs of `dco-perf` can report allocations
+/// and peak live bytes alongside wall clock without dragging a profiler
+/// into the tree. In binaries that do *not* install the allocator every
+/// snapshot is zero and the deltas degrade gracefully.
 pub mod perf {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -312,46 +313,30 @@ pub mod perf {
             }
         }
 
-        /// Stops timing; `events` is the engine's dispatched-event count
-        /// for the region (used for the events/s rate).
-        pub fn finish(self, events: u64) -> PerfSample {
-            let wall_ns = self.t0.elapsed().as_nanos();
+        /// Stops timing.
+        pub fn finish(self) -> PerfSample {
             PerfSample {
-                wall_ns,
-                events,
+                wall_ns: self.t0.elapsed().as_nanos(),
                 alloc: AllocStats::snapshot().delta_since(self.a0),
                 peak_live_bytes: AllocStats::peak_live_bytes(),
-                live_bytes_end: AllocStats::live_bytes(),
             }
         }
     }
 
-    /// One measured region: wall clock, event count, allocator deltas.
+    /// One measured region: wall clock and allocator deltas.
     #[derive(Clone, Copy, Debug)]
     pub struct PerfSample {
         /// Wall-clock nanoseconds.
         pub wall_ns: u128,
-        /// Events dispatched in the region.
-        pub events: u64,
         /// Allocator activity in the region.
         pub alloc: AllocStats,
         /// Peak bytes simultaneously live during the region (the memory
         /// the region actually *needed*, as opposed to `alloc.bytes`,
         /// which is cumulative turnover).
         pub peak_live_bytes: u64,
-        /// Bytes still live when the region ended.
-        pub live_bytes_end: u64,
     }
 
     impl PerfSample {
-        /// Dispatched events per wall-clock second.
-        pub fn events_per_sec(&self) -> f64 {
-            if self.wall_ns == 0 {
-                return 0.0;
-            }
-            self.events as f64 / (self.wall_ns as f64 / 1e9)
-        }
-
         /// Wall-clock milliseconds as a float.
         pub fn wall_ms(&self) -> f64 {
             self.wall_ns as f64 / 1e6
@@ -464,14 +449,11 @@ mod tests {
         let d = later.delta_since(earlier);
         assert_eq!((d.allocs, d.frees, d.bytes), (6, 0, 3072));
 
-        let sample = PerfMeter::start().finish(1_000);
-        assert_eq!(sample.events, 1_000);
-        assert!(sample.events_per_sec() >= 0.0);
+        let sample = PerfMeter::start().finish();
         assert!(sample.wall_ms() >= 0.0);
         // Without a CountingAlloc installed (lib tests run on the system
         // allocator) the byte gauges read zero and must not underflow.
         assert_eq!(sample.peak_live_bytes, 0);
-        assert_eq!(sample.live_bytes_end, 0);
         assert_eq!(AllocStats::live_bytes(), 0);
         AllocStats::reset_peak();
         assert_eq!(AllocStats::peak_live_bytes(), 0);

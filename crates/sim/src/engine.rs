@@ -535,13 +535,15 @@ impl<P: Protocol> Simulator<P> {
         id
     }
 
-    /// Schedules `node` to join at `at`.
+    /// Schedules `node` to join at `at` (clamped to now, as with
+    /// [`Simulator::inject_message`], so the clock never runs backwards).
     ///
     /// In sharded mode this is part of the **install script**: every worker
     /// must make the identical sequence of `schedule_join`/`schedule_leave`
     /// calls before running, and the position in that sequence becomes the
     /// event's canonical key.
     pub fn schedule_join(&mut self, node: NodeId, at: SimTime) {
+        let at = at.max(self.core.clock);
         match &mut self.core.shard {
             None => self.core.queue.push(at, Event::Join { node }),
             Some(s) => {
@@ -551,9 +553,11 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Schedules `node` to leave at `at` (gracefully or abruptly). Part of
-    /// the install script in sharded mode (see [`Simulator::schedule_join`]).
+    /// Schedules `node` to leave at `at` (gracefully or abruptly; clamped
+    /// to now). Part of the install script in sharded mode (see
+    /// [`Simulator::schedule_join`]).
     pub fn schedule_leave(&mut self, node: NodeId, at: SimTime, graceful: bool) {
+        let at = at.max(self.core.clock);
         match &mut self.core.shard {
             None => self.core.queue.push(at, Event::Leave { node, graceful }),
             Some(s) => {
@@ -1381,6 +1385,20 @@ mod inject_tests {
         sim.run();
         assert_eq!(sim.protocol().seen[1], 1);
         assert_eq!(sim.now(), SimTime::from_secs(5), "clamped, no time travel");
+    }
+
+    #[test]
+    fn membership_scheduled_in_the_past_clamps_to_now() {
+        let mut sim = sim2();
+        sim.run_until(SimTime::from_secs(5));
+        sim.schedule_leave(NodeId(1), SimTime::from_secs(1), false);
+        sim.run();
+        assert!(!sim.is_alive(NodeId(1)));
+        assert_eq!(sim.now(), SimTime::from_secs(5), "leave clamped to now");
+        sim.schedule_join(NodeId(1), SimTime::from_secs(2));
+        sim.run();
+        assert!(sim.is_alive(NodeId(1)));
+        assert_eq!(sim.now(), SimTime::from_secs(5), "join clamped to now");
     }
 
     #[test]

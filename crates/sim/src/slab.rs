@@ -21,7 +21,8 @@
 //! Both are deterministic by construction: contents and iteration order
 //! depend only on the operation sequence, never on addresses or hash
 //! seeds, so converting a protocol onto them must not move a single event
-//! (the trace-digest gates in `dco-perf` hold across the conversion).
+//! (the pinned trace digests in `tests/determinism.rs` hold across the
+//! conversion).
 
 /// A pool of small per-owner key→value tables in two flat parallel arrays.
 ///

@@ -4,7 +4,12 @@
 //! parallel sweep at any `--jobs` level. These tests pin that contract;
 //! if one ever fails, some code path made simulation behaviour depend on
 //! wall-clock, thread schedule or global state.
+//!
+//! It also holds every pinned digest: `GOLDEN_DIGESTS` (small cells, every
+//! method) and `PINNED_DIGESTS` (the figures workload at large N, one
+//! `#[ignore]` release test per row).
 
+use dco_bench::shard_run::run_single_canonical;
 use dco_bench::sweep::{expand, run_cell, run_sweep, SweepConfig};
 use dco_bench::{run_with_stats, Method, RunParams};
 use dco_sim::time::{SimDuration, SimTime};
@@ -129,8 +134,8 @@ fn a_cell_run_alone_matches_the_same_cell_inside_a_sweep() {
 /// seed engine (binary-heap calendar, deep-copy fan-out) before the hot-path
 /// overhaul. Any engine or data-structure change that alters one of these
 /// digests has changed *simulation behaviour*, not just performance.
-/// Regenerate (only when behaviour is changed on purpose) with
-/// `cargo run --release --bin dco-perf -- --digests`.
+/// On a mismatch the test prints the full regenerated table; paste it here
+/// only when behaviour is changed on purpose.
 const GOLDEN_DIGESTS: &[(&str, bool, u64, u64)] = &[
     ("DCO", false, 0x1f7c736e930dc180, 0xeb1f0a0f0408c949),
     ("DCO", false, 0xe3caf2b8bd3796b7, 0xeb1f0a0f0408c949),
@@ -194,6 +199,8 @@ fn trace_digests_match_the_pinned_golden_table() {
         Method::TreeStar,
     ];
     let seeds = ScenarioGrid::seed_list(0xC2055, 5);
+    let mut table = String::from("const GOLDEN_DIGESTS: &[(&str, bool, u64, u64)] = &[\n");
+    let mut moved = Vec::new();
     let mut checked = 0;
     for method in methods {
         for churn in [false, true] {
@@ -206,17 +213,189 @@ fn trace_digests_match_the_pinned_golden_table() {
                     .find(|(m, c, s, _)| *m == method.label() && *c == churn && *s == seed)
                     .map(|(.., d)| *d)
                     .expect("golden table covers every (method, churn, seed) cell");
-                assert_eq!(
-                    got,
-                    want,
-                    "{} churn={churn} seed={seed:#x}: digest {got:#018x} != golden {want:#018x}",
-                    method.label()
-                );
+                let label = method.label();
+                table += &format!("    ({label:?}, {churn}, {seed:#x}, {got:#018x}),\n");
+                if got != want {
+                    moved.push(format!(
+                        "{label} churn={churn} seed={seed:#x}: digest {got:#018x} != golden {want:#018x}"
+                    ));
+                }
                 checked += 1;
             }
         }
     }
+    table += "];";
+    assert!(
+        moved.is_empty(),
+        "{} golden rows moved:\n{}\nregenerated table:\n{table}",
+        moved.len(),
+        moved.join("\n")
+    );
     assert_eq!(checked, GOLDEN_DIGESTS.len(), "every golden row exercised");
+}
+
+/// The figures workload a pinned row runs: §IV parameters (100 chunks,
+/// 32 neighbors, 200 s horizon, seed 42) with the population overridden.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Workload {
+    /// The static Chord ring.
+    Static,
+    /// The figs 11–12 churn model (`ChurnConfig::paper_fig11`) on the
+    /// dynamic ring.
+    Churn,
+}
+
+/// The engine event order a pinned row runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Order {
+    /// The single-queue FIFO engine, through `run_with_stats(Method::Dco,
+    /// …)`: events are all dispatches, the digest is the chained trace
+    /// digest.
+    Fifo,
+    /// The key-ordered sharded engine at K = 1, through
+    /// `run_single_canonical`: events are owned dispatches, the digest is
+    /// the order-independent set digest every K must fold back to.
+    Canonical,
+}
+
+use Order::{Canonical, Fifo};
+use Workload::{Churn, Static};
+
+/// Every pinned large-N digest of the figures workload:
+/// `(workload, order, n_nodes, events, digest)`. Provenance:
+/// - FIFO static 1k/5k/10k: the seed engine (binary-heap calendar,
+///   deep-copy fan-out, BTreeMap DHT stores), before the hot-path overhaul;
+/// - FIFO static 50k/100k: the retained-observer engine, before the
+///   memory-flat layout;
+/// - FIFO churn 1k/10k: the engine before the churn books were pooled;
+///   50k was first recorded on the pooled engine;
+/// - canonical rows: the K = 1 run of the sharded engine that introduced
+///   the canonical order.
+///
+/// No later change may move one of them unless it changes behaviour on
+/// purpose. Each row has its own `#[ignore]` release test below, selected
+/// by name in CI; on a mismatch the test prints this table regenerated
+/// with the measured row.
+const PINNED_DIGESTS: &[(Workload, Order, u32, u64, u64)] = &[
+    (Static, Fifo, 1_000, 7_258_472, 0xfedd_21ae_0462_f672),
+    (Static, Fifo, 5_000, 42_659_350, 0xabe2_aa4c_859a_84cc),
+    (Static, Fifo, 10_000, 91_365_887, 0x10ef_10a0_8935_a8b8),
+    (Static, Fifo, 50_000, 572_125_634, 0x5b90_2f59_2f12_da68),
+    (Static, Fifo, 100_000, 1_270_885_329, 0x79c2_50f0_fd68_ba07),
+    (Churn, Fifo, 1_000, 13_019_723, 0x7054_7214_70b6_2603),
+    (Churn, Fifo, 10_000, 152_428_043, 0x8f05_16e3_66f1_8e2e),
+    (Churn, Fifo, 50_000, 830_212_465, 0xb2e5_7273_57d3_b252),
+    (Static, Canonical, 1_000, 7_280_215, 0x2afc_390e_2ce4_91bd),
+    (Static, Canonical, 10_000, 90_461_498, 0x88ef_a932_000b_b76d),
+    (Churn, Canonical, 1_000, 13_000_317, 0x9c2b_e5aa_ec6f_2a3c),
+    (Churn, Canonical, 10_000, 153_109_518, 0x506c_0da9_4974_3478),
+];
+
+/// `digits` with an underscore between every group of `width`, counted
+/// from the right — the literal style of [`PINNED_DIGESTS`].
+fn grouped(digits: &str, width: usize) -> String {
+    let groups: Vec<&str> = digits
+        .as_bytes()
+        .rchunks(width)
+        .rev()
+        .map(|g| std::str::from_utf8(g).expect("ASCII digits"))
+        .collect();
+    groups.join("_")
+}
+
+/// Runs one pinned row's workload and checks its events and digest,
+/// printing the regenerated table on a mismatch.
+fn check_pinned(workload: Workload, order: Order, n_nodes: u32) {
+    let mut params = RunParams::paper_default(42);
+    params.n_nodes = n_nodes;
+    if workload == Churn {
+        params.churn = Some(ChurnConfig::paper_fig11());
+    }
+    let got = match order {
+        Fifo => {
+            let proof = run_with_stats(Method::Dco, &params).proof;
+            (proof.events, proof.trace_digest)
+        }
+        Canonical => {
+            let run = run_single_canonical(&params);
+            (run.owned_events, run.set_digest)
+        }
+    };
+    let want = PINNED_DIGESTS
+        .iter()
+        .find(|&&(w, o, n, ..)| (w, o, n) == (workload, order, n_nodes))
+        .map(|&(.., events, digest)| (events, digest))
+        .expect("the row is pinned");
+    if got != want {
+        let rows = PINNED_DIGESTS.iter().map(|&(w, o, n, events, digest)| {
+            let (events, digest) = if (w, o, n) == (workload, order, n_nodes) {
+                got
+            } else {
+                (events, digest)
+            };
+            (w, o, n, events, digest)
+        });
+        panic!(
+            "{workload:?} {order:?} N={n_nodes}: events {} digest {:#018x} != pinned events {} \
+             digest {:#018x}\nregenerated table (rows not run here keep their pinned values):\n{}",
+            got.0,
+            got.1,
+            want.0,
+            want.1,
+            render_pins(rows)
+        );
+    }
+}
+
+/// `rows` as the Rust source of [`PINNED_DIGESTS`].
+fn render_pins(rows: impl Iterator<Item = (Workload, Order, u32, u64, u64)>) -> String {
+    let mut table =
+        String::from("const PINNED_DIGESTS: &[(Workload, Order, u32, u64, u64)] = &[\n");
+    for (w, o, n, events, digest) in rows {
+        table += &format!(
+            "    ({w:?}, {o:?}, {}, {}, 0x{}),\n",
+            grouped(&n.to_string(), 3),
+            grouped(&events.to_string(), 3),
+            grouped(&format!("{digest:016x}"), 4)
+        );
+    }
+    table + "];"
+}
+
+/// The regenerated table a failing row prints is pasteable: unchanged,
+/// it renders to this file's own source text.
+#[test]
+fn pinned_table_renders_as_its_own_source() {
+    let table = render_pins(PINNED_DIGESTS.iter().copied());
+    assert!(include_str!("determinism.rs").contains(&table), "{table}");
+}
+
+/// One `#[ignore]` release test per [`PINNED_DIGESTS`] row, so CI can
+/// select rows by name: `cargo test --release --test determinism --
+/// --ignored --exact pinned_fifo_static_1k …`.
+macro_rules! pinned_row_tests {
+    ($($name:ident: $workload:ident, $order:ident, $n:expr, $why:literal;)*) => {$(
+        #[test]
+        #[ignore = $why]
+        fn $name() {
+            check_pinned($workload, $order, $n);
+        }
+    )*};
+}
+
+pinned_row_tests! {
+    pinned_fifo_static_1k: Static, Fifo, 1_000, "release-scale: N=1000";
+    pinned_fifo_static_5k: Static, Fifo, 5_000, "release-scale: N=5000";
+    pinned_fifo_static_10k: Static, Fifo, 10_000, "release-scale: N=10000, ~3 GiB peak";
+    pinned_fifo_static_50k: Static, Fifo, 50_000, "recorded peak 16.8 GiB live";
+    pinned_fifo_static_100k: Static, Fifo, 100_000, "recorded peak 36.9 GiB live";
+    pinned_fifo_churn_1k: Churn, Fifo, 1_000, "release-scale: N=1000";
+    pinned_fifo_churn_10k: Churn, Fifo, 10_000, "release-scale: N=10000, ~4 GiB peak";
+    pinned_fifo_churn_50k: Churn, Fifo, 50_000, "release-scale: N=50000, 8.2 GiB peak";
+    pinned_canonical_static_1k: Static, Canonical, 1_000, "release-scale: N=1000";
+    pinned_canonical_static_10k: Static, Canonical, 10_000, "release-scale: N=10000";
+    pinned_canonical_churn_1k: Churn, Canonical, 1_000, "release-scale: N=1000";
+    pinned_canonical_churn_10k: Churn, Canonical, 10_000, "release-scale: N=10000";
 }
 
 #[test]
