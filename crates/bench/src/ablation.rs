@@ -12,7 +12,6 @@
 //!   full store-and-forward model (both directions charged).
 
 use dco_core::proto::{DcoConfig, DcoProtocol, TierMode};
-use dco_metrics::{Figure, Series};
 use dco_sim::engine::Simulator;
 use dco_sim::net::NetConfig;
 use dco_sim::time::{SimDuration, SimTime};
@@ -200,17 +199,6 @@ pub fn to_table(title: &str, rows: &[AblationRow]) -> String {
     out
 }
 
-/// A quick series view (delay per variant) for plotting.
-pub fn to_series(rows: &[AblationRow]) -> Figure {
-    let mut fig = Figure::new("ablation", "variant", "mesh delay (s)");
-    for (i, r) in rows.iter().enumerate() {
-        let mut s = Series::new(r.label.clone());
-        s.push(i as f64, r.mesh_delay);
-        fig.push_series(s);
-    }
-    fig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +264,5 @@ mod tests {
         let t = to_table("test", &rows);
         assert!(t.contains("variant"));
         assert!(t.contains("sufficient-bandwidth"));
-        let fig = to_series(&rows);
-        assert_eq!(fig.series.len(), 3);
     }
 }

@@ -13,24 +13,9 @@
 //! `DIR/sweep_<tag>.json` (default `results/sweep_<preset>.json`). The
 //! per-cell `trace_digest` values in the JSON are bit-identical across
 //! `--jobs` levels — diff two reports to audit determinism.
-//!
-//! `--fork-seeds` runs each cell in its own re-exec'd *process* instead of
-//! a thread (the same worker runner the sharded simulation uses): the
-//! parent keeps a `--jobs`-wide wave of children alive, each child
-//! re-derives the identical grid from the same argv, runs exactly one cell
-//! (hidden `--cell-worker IDX` mode) and sends its wire-encoded
-//! [`RunStats`] back as a single frame. Reports are bit-identical to the
-//! in-process path; a crashed child fails the sweep with that child's
-//! stderr surfaced instead of hanging the parent.
 
-use dco_bench::runner::{Method, RunStats};
-use dco_bench::sweep::{
-    aggregate_outcomes, expand, run_cell, run_sweep, CellOutcome, SweepConfig, SweepReport,
-};
-use dco_shard::epoch::tag;
-use dco_shard::link::{FrameLink, PipeLink};
-use dco_shard::procpool::{reap_failure, spawn_worker, WorkerProc};
-use dco_sim::wire::{decode_exact, encode_to_vec};
+use dco_bench::runner::Method;
+use dco_bench::sweep::{run_sweep, SweepConfig};
 use dco_workload::{ChurnLevel, ScenarioGrid};
 
 fn parse_methods(s: &str) -> Result<Vec<Method>, String> {
@@ -77,11 +62,6 @@ struct Args {
     cfg: SweepConfig,
     out_dir: String,
     tag: String,
-    /// Run every cell in its own child process instead of a thread.
-    fork_seeds: bool,
-    /// Hidden: this process is a forked cell worker — run grid cell `IDX`
-    /// and write its wire-encoded `RunStats` to stdout as one frame.
-    cell_worker: Option<usize>,
 }
 
 fn parse() -> Result<Args, String> {
@@ -89,8 +69,6 @@ fn parse() -> Result<Args, String> {
     let mut cfg = SweepConfig::small();
     let mut out_dir = "results".to_string();
     let mut tag = "small".to_string();
-    let mut fork_seeds = false;
-    let mut cell_worker = None;
     let mut i = 0;
     while i < argv.len() {
         let key = argv[i].as_str();
@@ -122,107 +100,11 @@ fn parse() -> Result<Args, String> {
             "--jobs" => cfg.jobs = val()?.parse().map_err(|e| format!("{e}"))?,
             "--out" => out_dir = val()?.to_string(),
             "--tag" => tag = val()?.to_string(),
-            "--fork-seeds" => fork_seeds = true,
-            "--cell-worker" => {
-                cell_worker = Some(val()?.parse().map_err(|e| format!("--cell-worker: {e}"))?);
-            }
             other => return Err(format!("unknown flag {other}")),
         }
         i += 1;
     }
-    Ok(Args {
-        cfg,
-        out_dir,
-        tag,
-        fork_seeds,
-        cell_worker,
-    })
-}
-
-/// Hidden `--cell-worker` mode: the child re-derived the same grid from
-/// the same argv, so `idx` addresses the same cell the parent holds. Run
-/// it and ship the stats back as one `RESULT` frame.
-fn run_cell_worker(cfg: &SweepConfig, idx: usize) -> Result<(), String> {
-    let cells = expand(cfg);
-    let cell = cells
-        .get(idx)
-        .ok_or_else(|| format!("--cell-worker {idx}: grid has {} cells", cells.len()))?;
-    let outcome = run_cell(cfg, cell);
-    let mut link = PipeLink::new(std::io::stdin(), std::io::stdout());
-    link.send(tag::RESULT, &encode_to_vec(&outcome.stats))
-        .and_then(|()| link.flush())
-        .map_err(|e| format!("cell {idx}: sending result: {e}"))
-}
-
-/// `--fork-seeds`: run the grid in `--jobs`-wide waves of child
-/// processes, one cell each, and aggregate exactly like the in-process
-/// path (the report is bit-identical).
-fn run_sweep_forked(cfg: &SweepConfig) -> Result<SweepReport, String> {
-    let cells = expand(cfg);
-    let jobs = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.jobs
-    }
-    .max(1);
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-    let mut next = 0usize;
-    while next < cells.len() {
-        let wave: Vec<usize> = (next..cells.len().min(next + jobs)).collect();
-        next += wave.len();
-        let mut workers: Vec<(usize, WorkerProc)> = Vec::with_capacity(wave.len());
-        let spawn = |idx: usize| -> std::io::Result<WorkerProc> {
-            let mut child_args = argv.clone();
-            child_args.push("--cell-worker".to_string());
-            child_args.push(idx.to_string());
-            spawn_worker(&child_args, idx)
-        };
-        for &idx in &wave {
-            match spawn(idx) {
-                Ok(w) => workers.push((idx, w)),
-                Err(e) => {
-                    let pool = workers.into_iter().map(|(_, w)| w).collect();
-                    return Err(reap_failure(pool, e).to_string());
-                }
-            }
-        }
-        // Harvest in index order: children run concurrently regardless;
-        // the recv order only fixes the outcome order for aggregation.
-        let mut pending = workers.into_iter();
-        while let Some((idx, mut w)) = pending.next() {
-            let harvest = w.link.recv().and_then(|(t, payload)| {
-                if t != tag::RESULT {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("cell {idx}: unexpected frame tag {t}"),
-                    ));
-                }
-                decode_exact::<RunStats>(&payload).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("cell {idx}: {e}"))
-                })
-            });
-            let stats = match harvest {
-                Ok(s) => s,
-                Err(e) => {
-                    let mut pool = vec![w];
-                    pool.extend(pending.map(|(_, w)| w));
-                    return Err(reap_failure(pool, e).to_string());
-                }
-            };
-            if let Err(e) = w.finish() {
-                let pool = pending.map(|(_, w)| w).collect();
-                return Err(reap_failure(pool, e).to_string());
-            }
-            outcomes.push(CellOutcome {
-                cell: cells[idx],
-                stats,
-            });
-        }
-    }
-    Ok(aggregate_outcomes(cfg, outcomes))
+    Ok(Args { cfg, out_dir, tag })
 }
 
 fn main() {
@@ -233,18 +115,11 @@ fn main() {
             eprintln!(
                 "usage: dco-sweep [--preset tiny|small|paper] [--methods dco,pull,...] \
                  [--nodes 64,128] [--churn static,life60] [--seeds N] \
-                 [--master-seed S] [--jobs N] [--out DIR] [--tag NAME] [--fork-seeds]"
+                 [--master-seed S] [--jobs N] [--out DIR] [--tag NAME]"
             );
             std::process::exit(2);
         }
     };
-    if let Some(idx) = args.cell_worker {
-        if let Err(e) = run_cell_worker(&args.cfg, idx) {
-            eprintln!("dco-sweep: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     let cells = args.cfg.methods.len() * args.cfg.grid.len();
     eprintln!(
         "# sweep: {} methods x {} populations x {} churn levels x {} seeds = {} cells, jobs={}",
@@ -260,17 +135,7 @@ fn main() {
         },
     );
     let t0 = std::time::Instant::now();
-    let report = if args.fork_seeds {
-        match run_sweep_forked(&args.cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("dco-sweep: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        run_sweep(&args.cfg)
-    };
+    let report = run_sweep(&args.cfg);
     let wall = t0.elapsed();
 
     print!("{}", report.to_table());

@@ -37,7 +37,7 @@ use dco_sim::node::NodeId;
 use dco_sim::time::SimDuration;
 use dco_sim::wire::{decode_exact, encode_to_vec, WireCodec, WireError, WireReader};
 
-use crate::runner::{CellProof, RunParams, RunResult, RunStats};
+use crate::runner::RunParams;
 
 /// `map[node] = shard` for the figures workload: contiguous arcs of the
 /// Chord ring (nodes sorted by `hash_node`), near-equal population.
@@ -339,68 +339,6 @@ pub fn run_single_canonical(params: &RunParams) -> SingleRun {
     }
 }
 
-// ---------------------------------------------------------------------
-// Wire codecs for the sweep fork (`dco-sweep --fork-seeds`): a cell
-// worker ships its RunStats back as one RESULT frame.
-// ---------------------------------------------------------------------
-
-impl WireCodec for RunResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mean_mesh_delay.encode(out);
-        self.fill_at_2s.encode(out);
-        self.fill_at_offset.encode(out);
-        self.fill_timeline.encode(out);
-        self.overhead.encode(out);
-        self.overhead_timeline.encode(out);
-        self.received_timeline.encode(out);
-        self.received_pct.encode(out);
-        self.data_msgs.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RunResult {
-            mean_mesh_delay: r.get()?,
-            fill_at_2s: r.get()?,
-            fill_at_offset: r.get()?,
-            fill_timeline: r.get()?,
-            overhead: r.get()?,
-            overhead_timeline: r.get()?,
-            received_timeline: r.get()?,
-            received_pct: r.get()?,
-            data_msgs: r.get()?,
-        })
-    }
-}
-
-impl WireCodec for CellProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.trace_digest.encode(out);
-        self.counters_digest.encode(out);
-        self.snapshot.encode(out);
-        self.events.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CellProof {
-            trace_digest: r.get()?,
-            counters_digest: r.get()?,
-            snapshot: r.get()?,
-            events: r.get()?,
-        })
-    }
-}
-
-impl WireCodec for RunStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.result.encode(out);
-        self.proof.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RunStats {
-            result: r.get()?,
-            proof: r.get()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,43 +518,5 @@ mod tests {
             let pop = map.iter().filter(|&&s| s == shard).count();
             assert_eq!(pop, 250, "shard {shard}");
         }
-    }
-
-    #[test]
-    fn run_stats_codec_round_trips() {
-        let stats = RunStats {
-            result: RunResult {
-                mean_mesh_delay: 1.5,
-                fill_at_2s: 0.25,
-                fill_at_offset: 0.75,
-                fill_timeline: vec![(0.0, 0.0), (1.0, 0.5)],
-                overhead: 42,
-                overhead_timeline: vec![(0.0, 1.0)],
-                received_timeline: vec![(0.0, 0.0), (1.0, 50.0)],
-                received_pct: 99.5,
-                data_msgs: 777,
-            },
-            proof: CellProof {
-                trace_digest: 0xABCD,
-                counters_digest: 0x1234,
-                snapshot: CounterSnapshot {
-                    control_total: 1,
-                    data_total: 2,
-                    by_tag: vec![],
-                    control_per_sec: vec![1],
-                    dropped_dead: 0,
-                    dropped_fault: 0,
-                },
-                events: 5,
-            },
-        };
-        let back: RunStats = decode_exact(&encode_to_vec(&stats)).unwrap();
-        assert_eq!(back.proof, stats.proof);
-        assert_eq!(
-            back.result.received_pct.to_bits(),
-            stats.result.received_pct.to_bits()
-        );
-        assert_eq!(back.result.fill_timeline, stats.result.fill_timeline);
-        assert_eq!(back.result.data_msgs, stats.result.data_msgs);
     }
 }

@@ -267,13 +267,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     aggregate(cfg, outcomes)
 }
 
-/// Aggregates already-run cells into a report. The in-process path
-/// (`run_sweep`) and the `--fork-seeds` per-process fan-out both end
-/// here, so their reports are comparable field-for-field.
-pub fn aggregate_outcomes(cfg: &SweepConfig, cells: Vec<CellOutcome>) -> SweepReport {
-    aggregate(cfg, cells)
-}
-
 fn aggregate(cfg: &SweepConfig, cells: Vec<CellOutcome>) -> SweepReport {
     let mut rows = Vec::new();
     for &method in &cfg.methods {

@@ -1,6 +1,6 @@
-//! End-to-end tests of the multi-process binaries: the real `dco-perf`
-//! (re-exec'd workers over stdio pipes) and the real
-//! `dco-sweep --fork-seeds` path, spawned via `CARGO_BIN_EXE_*`.
+//! End-to-end tests of the binaries: the real `dco-perf` (re-exec'd
+//! workers over stdio pipes) and `dco-sweep`'s flag handling, spawned via
+//! `CARGO_BIN_EXE_*`.
 //!
 //! The lib tests (`shard_run`) already prove shard-count invariance over
 //! in-memory links; these prove the *process* plumbing — spawn, framed
@@ -105,32 +105,23 @@ fn dco_perf_refuses_removed_modes() {
     }
 }
 
-/// `--fork-seeds` must write a byte-identical report to the in-process
-/// thread pool: same grid, same per-cell digests, same aggregation.
+/// `dco-sweep` runs every cell on its in-process thread pool; it has no
+/// per-cell process mode, so `--fork-seeds` and `--cell-worker IDX` exit 2
+/// with the usage line.
 #[test]
-fn fork_seeds_report_is_bit_identical_to_in_process() {
-    let dir = std::env::temp_dir().join(format!("dco-sweep-fork-test-{}", std::process::id()));
-    let dir_s = dir.to_str().expect("utf8 temp dir");
-    for (tag, fork) in [("inproc", false), ("forked", true)] {
-        let mut cmd = sweep();
-        cmd.args([
-            "--preset", "tiny", "--jobs", "2", "--out", dir_s, "--tag", tag,
-        ]);
-        if fork {
-            cmd.arg("--fork-seeds");
-        }
-        let out = cmd.output().expect("spawn dco-sweep");
-        assert!(
-            out.status.success(),
-            "dco-sweep ({tag}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
+fn dco_sweep_refuses_removed_fork_flags() {
+    for argv in [&["--fork-seeds"][..], &["--cell-worker", "0"][..]] {
+        let out = sweep()
+            .args(["--preset", "tiny"])
+            .args(argv)
+            .output()
+            .expect("spawn dco-sweep");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "dco-sweep {argv:?} must be refused"
         );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: dco-sweep"), "{argv:?}: {err}");
     }
-    let a = std::fs::read(dir.join("sweep_inproc.json")).expect("in-process report");
-    let b = std::fs::read(dir.join("sweep_forked.json")).expect("forked report");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        a == b,
-        "forked sweep report diverged from the in-process report"
-    );
 }

@@ -102,21 +102,6 @@ impl ChunkNamer {
         self.ids[seq.index()]
     }
 
-    /// Reverse lookup: the sequence number with the given ring ID, if any
-    /// (linear scan; used by tests and handover paths only).
-    pub fn seq_of_id(&self, id: ChordId) -> Option<ChunkSeq> {
-        self.ids
-            .iter()
-            .position(|&x| x == id)
-            .map(|i| ChunkSeq(i as u32))
-    }
-
-    /// When chunk `seq` is generated on the simulation clock (chunk 0 at
-    /// `t = 0`).
-    pub fn generation_time(&self, seq: ChunkSeq) -> SimTime {
-        SimTime::ZERO + self.chunk_len * u64::from(seq.0)
-    }
-
     /// The newest chunk generated at or before `now` (`None` before chunk 0
     /// exists or when `n_chunks == 0`).
     pub fn latest_at(&self, now: SimTime) -> Option<ChunkSeq> {
@@ -152,18 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn reverse_lookup() {
-        let n = ChunkNamer::paper_default(20);
-        let id = n.id_of(ChunkSeq(7));
-        assert_eq!(n.seq_of_id(id), Some(ChunkSeq(7)));
-        assert_eq!(n.seq_of_id(ChordId(12345)), None);
-    }
-
-    #[test]
     fn generation_schedule() {
         let n = ChunkNamer::paper_default(100);
-        assert_eq!(n.generation_time(ChunkSeq(0)), SimTime::ZERO);
-        assert_eq!(n.generation_time(ChunkSeq(42)), SimTime::from_secs(42));
         assert_eq!(n.latest_at(SimTime::from_millis(500)), Some(ChunkSeq(0)));
         assert_eq!(n.latest_at(SimTime::from_secs(42)), Some(ChunkSeq(42)));
         assert_eq!(

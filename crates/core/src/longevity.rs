@@ -70,12 +70,6 @@ impl CoxModel {
         let risk = (self.beta_quality * zq + self.beta_join_time * zt).exp();
         (1.0 - self.baseline_hazard(uptime_secs) * risk).clamp(0.0, 1.0)
     }
-
-    /// True if the node qualifies as **stable** at the given threshold
-    /// (coordinator candidacy; the paper uses "a pre-defined threshold").
-    pub fn is_stable(&self, uptime_secs: f64, z: Covariates, threshold: f64) -> bool {
-        self.longevity_probability(uptime_secs, z) >= threshold
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +138,8 @@ mod tests {
         let m = CoxModel::default();
         // A fresh node with empty buffer is not stable at a strict
         // threshold; a long-lived well-buffered node is.
-        assert!(!m.is_stable(0.0, z(0, 12.0), 0.9));
-        assert!(m.is_stable(600.0, z(20, 12.0), 0.9));
+        assert!(m.longevity_probability(0.0, z(0, 12.0)) < 0.9);
+        assert!(m.longevity_probability(600.0, z(20, 12.0)) >= 0.9);
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl DcoProtocol {
                         );
                     }
                 }
-                ChordEvent::AppLookupDone { .. } | ChordEvent::SuccessorDeclaredDead { .. } => {}
+                ChordEvent::SuccessorDeclaredDead { .. } => {}
             }
         }
     }

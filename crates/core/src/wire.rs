@@ -224,7 +224,7 @@ mod tests {
                     id: ChordId(5),
                     node: NodeId(5),
                 },
-                token: RouteToken::App(99),
+                token: RouteToken::Finger(9),
                 ttl: 64,
             }),
             DcoMsg::Insert {

@@ -66,8 +66,6 @@ pub enum RouteToken {
     Join,
     /// Refreshing finger `k`.
     Finger(u32),
-    /// An application-level lookup with a caller-chosen cookie.
-    App(u64),
 }
 
 /// Chord wire messages.
@@ -86,8 +84,6 @@ pub enum ChordMsg {
     },
     /// Answer to [`ChordMsg::FindSucc`]: `succ` is `successor(key)`.
     FoundSucc {
-        /// The key that was resolved.
-        key: ChordId,
         /// The owner of the key.
         succ: Peer,
         /// Echoed purpose cookie.
@@ -156,17 +152,6 @@ pub enum ChordEvent {
         node: NodeId,
         /// The new predecessor.
         new_pred: Peer,
-    },
-    /// An application lookup completed: `owner` is `successor(key)`.
-    AppLookupDone {
-        /// The node that issued the lookup.
-        node: NodeId,
-        /// The resolved key.
-        key: ChordId,
-        /// The key's owner.
-        owner: Peer,
-        /// The caller-chosen cookie.
-        cookie: u64,
     },
     /// The node declared its working successor dead.
     SuccessorDeclaredDead {
@@ -821,8 +806,8 @@ impl ChordNet {
             } => {
                 self.handle_find(node, key, origin, token, ttl, out);
             }
-            ChordMsg::FoundSucc { key, succ, token } => {
-                self.handle_found(node, key, succ, token, out);
+            ChordMsg::FoundSucc { succ, token } => {
+                self.handle_found(node, succ, token, out);
             }
             ChordMsg::GetPred { from: prober } => {
                 let pred_ttl = self.cfg.pred_ttl_ticks;
@@ -887,7 +872,7 @@ impl ChordNet {
             out.send(
                 node,
                 origin.node,
-                ChordMsg::FoundSucc { key, succ, token },
+                ChordMsg::FoundSucc { succ, token },
                 "chord.found",
             );
         };
@@ -934,14 +919,7 @@ impl ChordNet {
         );
     }
 
-    fn handle_found(
-        &mut self,
-        node: NodeId,
-        key: ChordId,
-        succ: Peer,
-        token: RouteToken,
-        out: &mut Outbox,
-    ) {
+    fn handle_found(&mut self, node: NodeId, succ: Peer, token: RouteToken, out: &mut Outbox) {
         let owner = node.index();
         let (st, books) = self.state_mut(node).expect("caller checked");
         books.learn(st, owner, succ);
@@ -979,14 +957,6 @@ impl ChordNet {
                 if succ.node != node {
                     books.fingers.set(owner, k, succ);
                 }
-            }
-            RouteToken::App(cookie) => {
-                out.events.push(ChordEvent::AppLookupDone {
-                    node,
-                    key,
-                    owner: succ,
-                    cookie,
-                });
             }
         }
     }
@@ -1231,15 +1201,6 @@ impl ChordNet {
     // Application routing
     // ------------------------------------------------------------------
 
-    /// Starts an application lookup for `key`; the host delivers the
-    /// produced messages and eventually receives
-    /// [`ChordEvent::AppLookupDone`].
-    pub fn app_lookup(&mut self, node: NodeId, key: ChordId, cookie: u64, out: &mut Outbox) {
-        let Some(st) = self.state(node) else { return };
-        let me = st.me();
-        self.handle_find(node, key, me, RouteToken::App(cookie), FIND_TTL, out);
-    }
-
     /// Greedy next-hop decision for a host-routed message keyed by `key`.
     ///
     /// Hosts that piggyback application payloads hop-by-hop (as DCO does for
@@ -1399,35 +1360,6 @@ mod tests {
             assert_eq!(at, want.node, "key {key:?}");
             assert!(hops <= 12, "hops {hops} way past log2(64) for {key:?}");
         }
-    }
-
-    #[test]
-    fn app_lookup_on_static_ring() {
-        let peers: Vec<Peer> = (0..16).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
-        let oracle = net.oracle();
-        let key = ChordId(0xDEAD_BEEF);
-        let mut out = Outbox::new();
-        net.app_lookup(NodeId(3), key, 77, &mut out);
-        let (events, _msgs) = pump(&mut net, &mut out);
-        let done: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                ChordEvent::AppLookupDone {
-                    node,
-                    key: k,
-                    owner,
-                    cookie,
-                } => Some((*node, *k, *owner, *cookie)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(done.len(), 1);
-        let (n, k, owner, cookie) = done[0];
-        assert_eq!(n, NodeId(3));
-        assert_eq!(k, key);
-        assert_eq!(cookie, 77);
-        assert_eq!(owner.node, oracle.owner(key).unwrap().node);
     }
 
     #[test]
@@ -1625,7 +1557,7 @@ mod tests {
             ChordMsg::FindSucc {
                 key: key_owned_elsewhere,
                 origin: peer_of(1),
-                token: RouteToken::App(1),
+                token: RouteToken::Finger(1),
                 ttl: 0,
             },
             &mut out,

@@ -19,12 +19,9 @@
 //!   builder for the paper's no-churn experiments.
 //! * [`chord`] — the protocol state machine: join, recursive
 //!   `find_successor` routing, stabilization, finger repair, graceful
-//!   leave, tick-based failure suspicion. Pure message-in/messages-out so a
-//!   host protocol (DCO, or the bundled KV service) performs the actual
-//!   sends — giving every DHT hop its latency and overhead unit.
-//! * [`kv`] — a standalone key-value service over the state machine,
-//!   runnable under `dco-sim` (used by the `dht_routing` example and the
-//!   churn tests).
+//!   leave, tick-based failure suspicion. Pure message-in/messages-out so
+//!   the host protocol (DCO) performs the actual sends — giving every DHT
+//!   hop its latency and overhead unit.
 //!
 //! ## Example
 //!
@@ -73,7 +70,6 @@ pub mod chord;
 pub mod finger;
 pub mod hash;
 pub mod id;
-pub mod kv;
 pub mod pool;
 pub mod ring;
 pub mod store;

@@ -83,17 +83,6 @@ impl<V: Copy + Default> KeyStore<V> {
         }
     }
 
-    /// Removes every value under `key`, returning them.
-    pub fn remove_key(&mut self, key: ChordId) -> Vec<V> {
-        match self.slot(key) {
-            Ok(i) => {
-                self.keys.remove(i);
-                self.vals.remove(i).into_vec()
-            }
-            Err(_) => Vec::new(),
-        }
-    }
-
     /// Keeps only the values for which `pred` holds; drops emptied keys.
     pub fn retain_values(&mut self, mut pred: impl FnMut(ChordId, &V) -> bool) {
         let mut kept = 0;
@@ -201,14 +190,6 @@ mod tests {
         assert_eq!(s.key_count(), 3);
         assert_eq!(s.value_count(), 4);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn remove_key() {
-        let mut s = store();
-        assert_eq!(s.remove_key(ChordId(10)), vec!["a", "b"]);
-        assert!(s.remove_key(ChordId(10)).is_empty());
-        assert_eq!(s.key_count(), 2);
     }
 
     #[test]

@@ -39,17 +39,12 @@ impl WireCodec for RouteToken {
                 out.push(1);
                 k.encode(out);
             }
-            RouteToken::App(cookie) => {
-                out.push(2);
-                cookie.encode(out);
-            }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.get::<u8>()? {
             0 => Ok(RouteToken::Join),
             1 => Ok(RouteToken::Finger(r.get()?)),
-            2 => Ok(RouteToken::App(r.get()?)),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -70,9 +65,8 @@ impl WireCodec for ChordMsg {
                 token.encode(out);
                 ttl.encode(out);
             }
-            ChordMsg::FoundSucc { key, succ, token } => {
+            ChordMsg::FoundSucc { succ, token } => {
                 out.push(1);
-                key.encode(out);
                 succ.encode(out);
                 token.encode(out);
             }
@@ -111,7 +105,6 @@ impl WireCodec for ChordMsg {
                 ttl: r.get()?,
             }),
             1 => Ok(ChordMsg::FoundSucc {
-                key: r.get()?,
                 succ: r.get()?,
                 token: r.get()?,
             }),
@@ -171,9 +164,8 @@ mod tests {
                 ttl: 1,
             },
             ChordMsg::FoundSucc {
-                key: ChordId(9),
                 succ: peer(3),
-                token: RouteToken::App(0xDEAD_BEEF),
+                token: RouteToken::Finger(0),
             },
             ChordMsg::GetPred { from: peer(11) },
             ChordMsg::PredReply {
@@ -207,11 +199,7 @@ mod tests {
 
     #[test]
     fn route_tokens_round_trip() {
-        for token in [
-            RouteToken::Join,
-            RouteToken::Finger(63),
-            RouteToken::App(u64::MAX),
-        ] {
+        for token in [RouteToken::Join, RouteToken::Finger(63)] {
             let bytes = encode_to_vec(&token);
             let back = decode_exact::<RouteToken>(&bytes).unwrap();
             assert_eq!(encode_to_vec(&back), bytes);
@@ -238,8 +226,8 @@ mod tests {
             Err(WireError::BadTag(200))
         ));
         assert!(matches!(
-            decode_exact::<RouteToken>(&[7]),
-            Err(WireError::BadTag(7))
+            decode_exact::<RouteToken>(&[2]),
+            Err(WireError::BadTag(2))
         ));
     }
 }

@@ -149,13 +149,6 @@ impl StreamObserver {
         }
     }
 
-    /// Marks every chunk slot as expected for `node` (static audiences).
-    pub fn mark_expected_all_chunks(&mut self, node: NodeId) {
-        for seq in 0..self.generated.len() {
-            self.expected.set(seq, node.index());
-        }
-    }
-
     /// Records the first reception of chunk `seq` by `node` at `t`.
     /// Duplicate receptions keep the earliest instant; the later (or
     /// out-of-order earlier) arrivals are folded into counters.
@@ -783,16 +776,6 @@ mod tests {
         o.mark_expected(7, NodeId(1));
         assert_eq!(o.n_chunks(), 8);
         assert!(o.is_expected(7, NodeId(1)));
-    }
-
-    #[test]
-    fn mark_expected_all_chunks() {
-        let mut o = StreamObserver::new(2, 3);
-        o.mark_expected_all_chunks(NodeId(1));
-        for seq in 0..3 {
-            assert!(o.is_expected(seq, NodeId(1)));
-            assert!(!o.is_expected(seq, NodeId(0)));
-        }
     }
 
     #[test]

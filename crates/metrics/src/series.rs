@@ -37,15 +37,6 @@ impl Series {
             .find(|(px, _)| (px - x).abs() < 1e-9)
             .map(|&(_, y)| y)
     }
-
-    /// Mean of all y values (0 for an empty series).
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, y)| y).sum::<f64>() / self.points.len() as f64
-        }
-    }
 }
 
 /// A complete figure: several curves over a shared x axis.
@@ -205,9 +196,7 @@ mod tests {
         let a = f.series_by_label("a").unwrap();
         assert_eq!(a.y_at(2.0), Some(20.0));
         assert_eq!(a.y_at(9.0), None);
-        assert!((a.mean_y() - 15.0).abs() < 1e-12);
         assert!(f.series_by_label("zzz").is_none());
-        assert_eq!(Series::new("e").mean_y(), 0.0);
     }
 
     #[test]

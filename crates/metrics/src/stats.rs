@@ -133,24 +133,6 @@ impl SummaryStats {
     }
 }
 
-/// Least-squares slope of y over x; 0 when degenerate.
-pub fn linreg_slope(points: &[(f64, f64)]) -> f64 {
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        0.0
-    } else {
-        (n * sxy - sx * sy) / denom
-    }
-}
-
 /// Pearson correlation coefficient; 0 when degenerate. Used to verify
 /// "grows linearly" claims (r close to 1).
 pub fn pearson_r(points: &[(f64, f64)]) -> f64 {
@@ -253,20 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn slope_of_exact_line() {
+    fn exact_line_correlates_perfectly() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 * i as f64 + 1.0)).collect();
-        assert!((linreg_slope(&pts) - 3.0).abs() < 1e-9);
         assert!((pearson_r(&pts) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn degenerate_regression() {
-        assert_eq!(linreg_slope(&[(1.0, 2.0)]), 0.0);
-        assert_eq!(linreg_slope(&[(1.0, 2.0), (1.0, 3.0)]), 0.0);
         assert_eq!(pearson_r(&[(1.0, 1.0)]), 0.0);
-        // Flat line: slope 0, r degenerate → 0.
+        // Flat line: r degenerate → 0.
         let flat: Vec<(f64, f64)> = (0..5).map(|i| (i as f64, 7.0)).collect();
-        assert_eq!(linreg_slope(&flat), 0.0);
         assert_eq!(pearson_r(&flat), 0.0);
     }
 
@@ -274,6 +252,5 @@ mod tests {
     fn anticorrelation() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, -2.0 * i as f64)).collect();
         assert!((pearson_r(&pts) + 1.0).abs() < 1e-9);
-        assert!((linreg_slope(&pts) + 2.0).abs() < 1e-9);
     }
 }

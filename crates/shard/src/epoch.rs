@@ -103,10 +103,19 @@ where
             let (t, p) = link.recv()?;
             match t {
                 tag::INJECT => {
-                    let batch: Vec<RemoteMsg<P::Msg>> =
-                        decode_exact(&p).map_err(|e| proto_err(format!("bad inject: {e}")))?;
+                    let batch: Vec<RemoteMsg<P::Msg>> = decode_exact(&p)
+                        .map_err(|e| proto_err(format!("epoch {epoch}: bad inject: {e}")))?;
                     for m in batch {
-                        sim.inject_remote(m);
+                        // Sent inside this window, so it arrives at or after
+                        // its end; anything earlier would land in the past.
+                        if m.at < end {
+                            return Err(proto_err(format!(
+                                "epoch {epoch}: injected arrival {} inside the closed window (ends {end})",
+                                m.at
+                            )));
+                        }
+                        sim.inject_remote(m)
+                            .map_err(|e| proto_err(format!("epoch {epoch}: bad inject: {e}")))?;
                     }
                 }
                 tag::EPOCH_GO => {
@@ -389,6 +398,85 @@ mod tests {
         let err = run_orchestrator(std::slice::from_mut(&mut orch_side)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(err.to_string().contains("shard 0"), "{err}");
+    }
+
+    /// Runs worker 0 of 2 for one 50 ms window with `inject` relayed at
+    /// the barrier, playing the orchestrator over a `ChannelLink`.
+    fn worker_with_inject(inject: RemoteMsg<u32>) -> (io::Result<()>, u64) {
+        let n = 4;
+        let map: Vec<u8> = (0..n).map(|id| (id % 2) as u8).collect();
+        let mut sim = build(map, 0, 2, n);
+        let (mut orch_side, mut worker_side) = channel_pair();
+        // `encode_batch` frames `[dest][batch]`; the relay strips `dest`.
+        let framed = encode_batch(0, &[inject]);
+        orch_side.send(tag::INJECT, &framed[1..]).unwrap();
+        orch_side.send(tag::EPOCH_GO, &0u64.to_le_bytes()).unwrap();
+        let horizon = SimTime::from_millis(60);
+        let lookahead = SimDuration::from_millis(50);
+        let res = run_worker(&mut sim, horizon, lookahead, &mut worker_side, |_| {
+            Vec::new()
+        });
+        (res, sim.protocol().received)
+    }
+
+    #[test]
+    fn worker_rejects_corrupt_inject_frames() {
+        // Worker 0 owns nodes 0 and 2; window 0 ends at 50 ms.
+        let good = || RemoteMsg {
+            at: SimTime::from_millis(55),
+            key: 1u128 << 127 | 7,
+            from: NodeId(1),
+            to: NodeId(2),
+            msg: 0xABCu32,
+        };
+        let (res, with) = worker_with_inject(good());
+        res.expect("a valid frame passes");
+        let (_, without) = worker_with_inject(RemoteMsg {
+            at: SimTime::from_millis(61), // past the horizon: never delivered
+            ..good()
+        });
+        assert_eq!(with, without + 1, "the valid message was delivered");
+
+        let bad = [
+            (
+                "to out of range",
+                RemoteMsg {
+                    to: NodeId(99),
+                    ..good()
+                },
+            ),
+            (
+                "from out of range",
+                RemoteMsg {
+                    from: NodeId(99),
+                    ..good()
+                },
+            ),
+            (
+                "to owned by another shard",
+                RemoteMsg {
+                    to: NodeId(1),
+                    ..good()
+                },
+            ),
+            (
+                "arrival inside the closed window",
+                RemoteMsg {
+                    at: SimTime::from_millis(10),
+                    ..good()
+                },
+            ),
+            (
+                "key without the runtime class bit",
+                RemoteMsg { key: 7, ..good() },
+            ),
+        ];
+        for (what, m) in bad {
+            let (res, _) = worker_with_inject(m);
+            let err = res.expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("epoch 0"), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Counters {
         self.by_tag.iter().map(|&(k, v)| (k, v))
     }
 
-    /// Control units in the whole second `sec` (0 if beyond the run).
-    pub fn control_in_second(&self, sec: u64) -> u64 {
-        self.control_per_sec.get(sec as usize).copied().unwrap_or(0)
-    }
-
     /// Cumulative control units up to and including second `sec`.
     pub fn control_through_second(&self, sec: u64) -> u64 {
         self.control_per_sec.iter().take(sec as usize + 1).sum()
@@ -401,10 +396,6 @@ mod tests {
         c.record_control(SimTime::from_millis(100), "x");
         c.record_control(SimTime::from_millis(900), "x");
         c.record_control(SimTime::from_millis(2500), "x");
-        assert_eq!(c.control_in_second(0), 2);
-        assert_eq!(c.control_in_second(1), 0);
-        assert_eq!(c.control_in_second(2), 1);
-        assert_eq!(c.control_in_second(99), 0);
         assert_eq!(c.control_through_second(0), 2);
         assert_eq!(c.control_through_second(2), 3);
         assert_eq!(c.control_through_second(50), 3);

@@ -300,29 +300,20 @@ impl<P: Protocol> Ctx<'_, P> {
     /// overhead under `tag`. No-op if the sender is dead; silently dropped
     /// (after counting) if the receiver is dead at delivery time.
     pub fn send_control(&mut self, from: NodeId, to: NodeId, msg: P::Msg, tag: &'static str) {
-        self.send_control_sized(from, to, msg, tag, SizeBits::ZERO)
-    }
-
-    /// Sends a control message with an explicit size (only relevant when the
-    /// network is configured to charge control traffic to the pipes).
-    pub fn send_control_sized(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: P::Msg,
-        tag: &'static str,
-        size: SizeBits,
-    ) {
         let core = &mut *self.core;
         if !core.alive.is_alive(from) {
             core.stats.sends_from_dead += 1;
             return;
         }
         core.counters.record_control(core.clock, tag);
-        match core
-            .net
-            .transmit(core.clock, from, to, MsgClass::Control, size, &mut core.rng)
-        {
+        match core.net.transmit(
+            core.clock,
+            from,
+            to,
+            MsgClass::Control,
+            SizeBits::ZERO,
+            &mut core.rng,
+        ) {
             Transmit::Deliver(at) => core.push_deliver(at, from, to, msg),
             Transmit::Dropped => core.counters.record_dropped_fault(),
         }
@@ -349,12 +340,6 @@ impl<P: Protocol> Ctx<'_, P> {
     /// Arms a timer for `node` to fire after `delay`.
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, timer: P::Timer) {
         let at = self.core.clock.saturating_add(delay);
-        self.core.push_timer(at, node, timer);
-    }
-
-    /// Arms a timer for `node` at an absolute instant (clamped to now).
-    pub fn set_timer_at(&mut self, node: NodeId, at: SimTime, timer: P::Timer) {
-        let at = at.max(self.core.clock);
         self.core.push_timer(at, node, timer);
     }
 
@@ -444,16 +429,6 @@ impl<P: Protocol> Ctx<'_, P> {
     /// Queueing delay currently ahead of `node`'s upload pipe.
     pub fn upload_backlog(&self, node: NodeId) -> SimDuration {
         self.core.net.upload_backlog(node, self.core.clock)
-    }
-
-    /// Queueing delay currently ahead of `node`'s download pipe.
-    pub fn download_backlog(&self, node: NodeId) -> SimDuration {
-        self.core.net.download_backlog(node, self.core.clock)
-    }
-
-    /// Configured upload rate of `node`.
-    pub fn upload_rate(&self, node: NodeId) -> Kbps {
-        self.core.net.upload_rate(node)
     }
 
     /// Configured download rate of `node`.
@@ -593,7 +568,7 @@ impl<P: Protocol> Simulator<P> {
     /// `map[node]` names the worker that owns each node and `me` is this
     /// worker's index. Must be called after all nodes are registered and
     /// before anything is scheduled. The network model must be *conservative
-    /// lookahead safe*: constant link latency `L > 0`, no fault injection,
+    /// lookahead safe*: link latency `L > 0`, no fault injection,
     /// and no receiver-side bandwidth charging — then any cross-shard send
     /// arrives at least `L` after it was sent, so workers can run in
     /// lockstep windows of width `L` exchanging messages only at window
@@ -611,10 +586,7 @@ impl<P: Protocol> Simulator<P> {
             "enable_sharding before scheduling or running"
         );
         let cfg = self.core.net.config();
-        let lookahead = cfg
-            .latency
-            .as_constant()
-            .expect("sharded runs need a constant latency model");
+        let lookahead = cfg.latency;
         assert!(
             !lookahead.is_zero(),
             "sharded runs need a positive link latency (the lookahead)"
@@ -673,10 +645,32 @@ impl<P: Protocol> Simulator<P> {
     /// Injects a message routed from another shard. The key computed by the
     /// sending worker already places it at its canonical position among
     /// this worker's events.
-    pub fn inject_remote(&mut self, m: RemoteMsg<P::Msg>) {
+    ///
+    /// Rejects, without queueing, a message no honest peer could have sent
+    /// here: a node out of range, a receiver this shard does not own, an
+    /// arrival before the clock, or a key outside the runtime class.
+    pub fn inject_remote(&mut self, m: RemoteMsg<P::Msg>) -> Result<(), String> {
         let s = self.core.shard.as_ref().expect("not a sharded run");
-        debug_assert!(s.owns(m.to), "misrouted remote message");
-        debug_assert!(m.at >= self.core.clock, "remote message in the past");
+        let n = s.map.len();
+        if m.from.index() >= n || m.to.index() >= n {
+            return Err(format!("node out of range: {} -> {} of {n}", m.from, m.to));
+        }
+        if !s.owns(m.to) {
+            return Err(format!(
+                "misrouted: {} is owned by shard {}",
+                m.to,
+                s.map[m.to.index()]
+            ));
+        }
+        if m.at < self.core.clock {
+            return Err(format!(
+                "arrival {} before the clock {}",
+                m.at, self.core.clock
+            ));
+        }
+        if m.key & KEY_RUNTIME_CLASS == 0 {
+            return Err(format!("key {:#x} lacks the runtime class bit", m.key));
+        }
         self.core.queue.push_keyed(
             m.at,
             m.key,
@@ -686,6 +680,7 @@ impl<P: Protocol> Simulator<P> {
                 msg: m.msg,
             },
         );
+        Ok(())
     }
 
     /// This worker's shard summary, or `None` in ordinary runs.
@@ -899,16 +894,6 @@ impl<P: Protocol> Simulator<P> {
     /// Shared access to the protocol under test.
     pub fn protocol(&self) -> &P {
         &self.protocol
-    }
-
-    /// Mutable access to the protocol under test.
-    pub fn protocol_mut(&mut self) -> &mut P {
-        &mut self.protocol
-    }
-
-    /// Consumes the simulator, returning the protocol (for result harvest).
-    pub fn into_protocol(self) -> P {
-        self.protocol
     }
 }
 
@@ -1250,7 +1235,7 @@ mod shard_tests {
             }
             for (sim, batch) in sims.iter_mut().zip(routed) {
                 for m in batch {
-                    sim.inject_remote(m);
+                    sim.inject_remote(m).expect("well-formed remote message");
                 }
             }
             e += 1;
@@ -1315,16 +1300,21 @@ mod shard_tests {
 
     #[test]
     fn sharding_rejects_unsafe_network_models() {
-        let mut sim = Simulator::new(
-            Mesh { n: 1, got: vec![0] },
-            NetConfig::default(), // charge_download = true
-            1,
-        );
-        sim.add_node(NodeCaps::peer_default());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.enable_sharding(vec![0], 0, 1);
-        }));
-        assert!(err.is_err(), "receiver-side charging must be rejected");
+        let zero_latency = NetConfig {
+            latency: SimDuration::ZERO,
+            ..NetConfig::paper_model()
+        };
+        for (net, why) in [
+            (NetConfig::default(), "receiver-side charging"),
+            (zero_latency, "a zero link latency (no lookahead)"),
+        ] {
+            let mut sim = Simulator::new(Mesh { n: 1, got: vec![0] }, net, 1);
+            sim.add_node(NodeCaps::peer_default());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.enable_sharding(vec![0], 0, 1);
+            }));
+            assert!(err.is_err(), "{why} must be rejected");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::counters::Counters;
     pub use crate::engine::{Ctx, EngineStats, Protocol, Simulator};
     pub use crate::msg::{MsgClass, SizeBits};
-    pub use crate::net::{FaultPlan, Kbps, LatencyModel, NetConfig, NodeCaps};
+    pub use crate::net::{FaultPlan, Kbps, NetConfig, NodeCaps};
     pub use crate::node::NodeId;
     pub use crate::rng::RngHub;
     pub use crate::time::{SimDuration, SimTime};

@@ -51,12 +51,6 @@ impl SizeBits {
         SizeBits(kb * 1_000)
     }
 
-    /// Builds a size from bytes.
-    #[inline]
-    pub const fn from_bytes(bytes: u64) -> Self {
-        SizeBits(bytes * 8)
-    }
-
     /// Raw bit count.
     #[inline]
     pub const fn bits(self) -> u64 {
@@ -94,10 +88,6 @@ impl fmt::Display for SizeBits {
     }
 }
 
-/// Byte size used for control messages when the configuration charges them
-/// to the pipes (off by default; see `NetConfig::control_uses_bandwidth`).
-pub const DEFAULT_CONTROL_BYTES: u64 = 64;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,10 +103,9 @@ mod tests {
     #[test]
     fn size_conversions() {
         assert_eq!(SizeBits::from_kilobits(300).bits(), 300_000);
-        assert_eq!(SizeBits::from_bytes(10).bits(), 80);
         assert_eq!(SizeBits::from_kilobits(300).kilobits(), 300);
         assert!(SizeBits::ZERO.is_zero());
-        assert!(!SizeBits::from_bytes(1).is_zero());
+        assert!(!SizeBits(1).is_zero());
     }
 
     #[test]

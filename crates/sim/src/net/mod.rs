@@ -5,12 +5,13 @@
 //!
 //! * every node has a private upload pipe and download pipe with fixed rates
 //!   ([`Pipe`], [`NodeCaps`]);
+//! * every link has the same one-way propagation latency (the paper's
+//!   §III assumption: 50 ms, ≈0.1 s round trip);
 //! * a **data** transfer first serializes through the sender's upload pipe
-//!   (FIFO), then propagates for one latency sample, then serializes through
-//!   the receiver's download pipe (FIFO again);
-//! * a **control** message incurs one latency sample only (the paper counts
-//!   control traffic in *message units*, not bytes), unless
-//!   `control_uses_bandwidth` is enabled;
+//!   (FIFO), then propagates for one latency, then serializes through the
+//!   receiver's download pipe (FIFO again);
+//! * a **control** message incurs the latency only (the paper counts
+//!   control traffic in *message units*, not bytes);
 //! * a [`FaultPlan`] may drop any transmission.
 //!
 //! Pipe occupancy is *reserved at send time*: when a data transfer is
@@ -21,12 +22,10 @@
 
 mod bandwidth;
 mod fault;
-mod latency;
 mod pipe;
 
 pub use bandwidth::{Kbps, NodeCaps};
 pub use fault::FaultPlan;
-pub use latency::LatencyModel;
 pub use pipe::Pipe;
 
 use crate::msg::{MsgClass, SizeBits};
@@ -37,14 +36,11 @@ use crate::time::{SimDuration, SimTime};
 /// Configuration of the network substrate.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// One-way propagation latency model. Default: constant 50 ms.
-    pub latency: LatencyModel,
+    /// One-way propagation latency of every link. Default: 50 ms, the
+    /// paper's "below 0.1 s" round trip.
+    pub latency: SimDuration,
     /// Message-loss policy. Default: no loss.
     pub faults: FaultPlan,
-    /// If true, control messages are also charged to the pipes at their
-    /// declared size. The paper's overhead metric counts message units, so
-    /// this defaults to `false`.
-    pub control_uses_bandwidth: bool,
     /// If true (default), a data transfer also serializes through the
     /// receiver's download pipe. §IV of the paper describes sender-side
     /// queueing only ("when a node is overloaded, it will queue its chunks
@@ -57,9 +53,8 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            latency: LatencyModel::paper_default(),
+            latency: SimDuration::from_millis(50),
             faults: FaultPlan::none(),
-            control_uses_bandwidth: false,
             charge_download: true,
         }
     }
@@ -75,7 +70,7 @@ impl NetConfig {
     }
 }
 
-/// Per-node link state plus the shared latency/fault models.
+/// Per-node link state plus the shared latency and fault models.
 #[derive(Clone, Debug)]
 pub struct Network {
     cfg: NetConfig,
@@ -137,7 +132,7 @@ impl Network {
     }
 
     /// Computes when a transmission submitted at `now` arrives, reserving
-    /// pipe capacity for data (and, if configured, control) messages.
+    /// pipe capacity for data messages.
     pub fn transmit(
         &mut self,
         now: SimTime,
@@ -150,9 +145,8 @@ impl Network {
         if self.cfg.faults.is_active() && self.cfg.faults.drops(from, to, class, rng) {
             return Transmit::Dropped;
         }
-        let latency = self.cfg.latency.sample(from, to, rng);
-        let charged = class.is_data() || self.cfg.control_uses_bandwidth;
-        if !charged || size.is_zero() {
+        let latency = self.cfg.latency;
+        if !class.is_data() || size.is_zero() {
             return Transmit::Deliver(now + latency);
         }
         let (_, up_done) = self.up[from.index()].admit(now, size);
@@ -169,24 +163,9 @@ impl Network {
         self.up[node.index()].backlog(now)
     }
 
-    /// The queueing delay currently ahead of `node`'s download pipe.
-    pub fn download_backlog(&self, node: NodeId, now: SimTime) -> SimDuration {
-        self.down[node.index()].backlog(now)
-    }
-
     /// Spare upload capacity averaged over `horizon` (what DCO advertises).
     pub fn available_upload(&self, node: NodeId, now: SimTime, horizon: SimDuration) -> Kbps {
         self.up[node.index()].available_kbps(now, horizon)
-    }
-
-    /// Spare download capacity averaged over `horizon`.
-    pub fn available_download(&self, node: NodeId, now: SimTime, horizon: SimDuration) -> Kbps {
-        self.down[node.index()].available_kbps(now, horizon)
-    }
-
-    /// Configured upload rate of `node`.
-    pub fn upload_rate(&self, node: NodeId) -> Kbps {
-        self.up[node.index()].rate()
     }
 
     /// Configured download rate of `node`.
@@ -199,11 +178,6 @@ impl Network {
     pub fn reset_pipes(&mut self, node: NodeId, now: SimTime) {
         self.up[node.index()].reset(now);
         self.down[node.index()].reset(now);
-    }
-
-    /// Total data bits admitted to `node`'s upload pipe (diagnostic).
-    pub fn uploaded_bits(&self, node: NodeId) -> u64 {
-        self.up[node.index()].bits_admitted()
     }
 }
 
@@ -330,27 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn control_charged_when_configured() {
-        let cfg = NetConfig {
-            control_uses_bandwidth: true,
-            ..NetConfig::default()
-        };
-        let mut n = Network::new(cfg);
-        n.push_node(NodeCaps::peer_default());
-        n.push_node(NodeCaps::peer_default());
-        let mut rng = SimRng::seed_from_u64(1);
-        let t = n.transmit(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            MsgClass::Control,
-            SizeBits::from_bytes(600_000 / 8), // 600 kb -> 1 s up + 1 s down
-            &mut rng,
-        );
-        assert_eq!(t, Transmit::Deliver(SimTime::from_millis(2050)));
-    }
-
-    #[test]
     fn available_upload_reflects_load() {
         let (mut n, mut rng) = net();
         assert_eq!(
@@ -426,82 +379,5 @@ mod tests {
         assert!(n
             .upload_backlog(NodeId(1), SimTime::from_millis(100))
             .is_zero());
-    }
-}
-
-#[cfg(test)]
-mod latency_jitter_tests {
-    use super::*;
-    use crate::rng::SimRng;
-    use crate::time::SimDuration;
-
-    #[test]
-    fn uniform_latency_affects_deliveries() {
-        let cfg = NetConfig {
-            latency: LatencyModel::Uniform {
-                min: SimDuration::from_millis(10),
-                max: SimDuration::from_millis(200),
-            },
-            ..NetConfig::default()
-        };
-        let mut n = Network::new(cfg);
-        n.push_node(NodeCaps::peer_default());
-        n.push_node(NodeCaps::peer_default());
-        let mut rng = SimRng::seed_from_u64(3);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..50 {
-            match n.transmit(
-                SimTime::ZERO,
-                NodeId(0),
-                NodeId(1),
-                MsgClass::Control,
-                SizeBits::ZERO,
-                &mut rng,
-            ) {
-                Transmit::Deliver(at) => {
-                    assert!(at >= SimTime::from_millis(10));
-                    assert!(at <= SimTime::from_millis(200));
-                    seen.insert(at.as_micros());
-                }
-                Transmit::Dropped => panic!("no faults configured"),
-            }
-        }
-        assert!(
-            seen.len() > 10,
-            "jitter should vary deliveries: {}",
-            seen.len()
-        );
-    }
-
-    #[test]
-    fn matrix_latency_is_pairwise() {
-        let cfg = NetConfig {
-            latency: LatencyModel::from_fn(2, SimDuration::from_millis(1), |a, b| {
-                SimDuration::from_millis(u64::from(a.0 * 100 + b.0 * 10 + 5))
-            }),
-            ..NetConfig::default()
-        };
-        let mut n = Network::new(cfg);
-        n.push_node(NodeCaps::peer_default());
-        n.push_node(NodeCaps::peer_default());
-        let mut rng = SimRng::seed_from_u64(3);
-        let t01 = n.transmit(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            MsgClass::Control,
-            SizeBits::ZERO,
-            &mut rng,
-        );
-        let t10 = n.transmit(
-            SimTime::ZERO,
-            NodeId(1),
-            NodeId(0),
-            MsgClass::Control,
-            SizeBits::ZERO,
-            &mut rng,
-        );
-        assert_eq!(t01, Transmit::Deliver(SimTime::from_millis(15)));
-        assert_eq!(t10, Transmit::Deliver(SimTime::from_millis(105)));
     }
 }

@@ -26,10 +26,6 @@ pub struct Pipe {
     rate: Kbps,
     /// The instant at which the last admitted transfer finishes draining.
     busy_until: SimTime,
-    /// Total bits ever admitted (diagnostic).
-    bits_admitted: u64,
-    /// Total transfers ever admitted (diagnostic).
-    transfers: u64,
 }
 
 impl Pipe {
@@ -38,8 +34,6 @@ impl Pipe {
         Pipe {
             rate,
             busy_until: SimTime::ZERO,
-            bits_admitted: 0,
-            transfers: 0,
         }
     }
 
@@ -58,8 +52,6 @@ impl Pipe {
         let start = now.max(self.busy_until);
         let finish = start.saturating_add(self.rate.transfer_time(size));
         self.busy_until = finish;
-        self.bits_admitted = self.bits_admitted.saturating_add(size.bits());
-        self.transfers += 1;
         (start, finish)
     }
 
@@ -104,18 +96,6 @@ impl Pipe {
         Kbps((self.rate.0 as f64 * frac).floor() as u32)
     }
 
-    /// Total bits ever admitted through the pipe.
-    #[inline]
-    pub fn bits_admitted(&self) -> u64 {
-        self.bits_admitted
-    }
-
-    /// Total transfers ever admitted through the pipe.
-    #[inline]
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
     /// Resets the queue (used when a node slot is recycled after churn).
     pub fn reset(&mut self, now: SimTime) {
         self.busy_until = now;
@@ -148,8 +128,6 @@ mod tests {
         let (s2, f2) = p.admit(SimTime::ZERO, kb(300)); // 0.5 .. 1.0
         assert_eq!(s2, f1, "second transfer queues behind the first");
         assert_eq!(f2, SimTime::from_secs(1));
-        assert_eq!(p.transfers(), 2);
-        assert_eq!(p.bits_admitted(), 600_000);
     }
 
     #[test]

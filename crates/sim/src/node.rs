@@ -121,22 +121,6 @@ impl AliveSet {
             false
         }
     }
-
-    /// Iterates over the indices of all alive nodes, in increasing order.
-    pub fn iter_alive(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            core::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(NodeId((wi * 64) as u32 + b))
-                }
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -193,15 +177,5 @@ mod tests {
         assert!(!s.is_alive(NodeId(99)));
         s.set_alive(NodeId(99));
         assert_eq!(s.alive_count(), 2);
-    }
-
-    #[test]
-    fn alive_set_iteration_order() {
-        let mut s = AliveSet::new(200);
-        for i in [5u32, 0, 63, 64, 65, 199, 128] {
-            s.set_alive(NodeId(i));
-        }
-        let got: Vec<u32> = s.iter_alive().map(|n| n.0).collect();
-        assert_eq!(got, vec![0, 5, 63, 64, 65, 128, 199]);
     }
 }

@@ -138,12 +138,6 @@ impl<E> EventQueue<E> {
         q
     }
 
-    /// Grows the active-heap reservation to at least `additional` more
-    /// slots (scenario-population capacity hint).
-    pub fn reserve(&mut self, additional: usize) {
-        self.cur.reserve(additional);
-    }
-
     /// Schedules `payload` to fire at absolute time `at`.
     ///
     /// Events at equal times fire in insertion order.
@@ -294,19 +288,6 @@ impl<E> EventQueue<E> {
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
-
-    /// Discards all pending events without firing them.
-    pub fn clear(&mut self) {
-        self.cur.clear();
-        for slot in &mut self.ring {
-            slot.clear();
-        }
-        self.occupied = [0; RING_WORDS];
-        self.ring_len = 0;
-        self.overflow.clear();
-        self.cursor = 0;
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -347,17 +328,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
         assert_eq!(q.scheduled_total(), 2);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_seq() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 1);
-        q.push(SimTime::ZERO, 2);
-        assert_eq!(q.pop(), Some((SimTime::ZERO, 2)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded randomness.
 //!
 //! Every run is driven by a single master `u64` seed. The engine keeps one
-//! [`SimRng`] for its own draws (latency jitter, fault coin-flips) and
+//! [`SimRng`] for its own draws (fault coin-flips, protocol picks) and
 //! protocols can derive **independent per-node streams** through
 //! [`RngHub`], so adding a random draw in one protocol module does not
 //! perturb the sequence seen by another.
@@ -98,15 +98,6 @@ impl SimRng {
         for i in (1..xs.len()).rev() {
             let j = self.gen_range(0..i + 1);
             xs.swap(i, j);
-        }
-    }
-
-    /// A uniform pick from `xs`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_range(0..xs.len())])
         }
     }
 }
@@ -231,12 +222,6 @@ impl RngHub {
         SimRng::seed_from_u64(splitmix64(self.master ^ 0xE46E_0000_0000_0001))
     }
 
-    /// A named protocol-level stream (`stream` distinguishes subsystems,
-    /// e.g. 0 = membership, 1 = neighbor pick, ...).
-    pub fn stream_rng(&self, stream: u64) -> SimRng {
-        SimRng::seed_from_u64(splitmix64(splitmix64(self.master) ^ stream))
-    }
-
     /// A per-node stream within a subsystem.
     pub fn node_rng(&self, stream: u64, node: NodeId) -> SimRng {
         let s = splitmix64(splitmix64(self.master) ^ stream);
@@ -299,7 +284,7 @@ mod tests {
     fn engine_rng_differs_from_streams() {
         let h = RngHub::new(42);
         let mut e = h.engine_rng();
-        let mut s = h.stream_rng(0);
+        let mut s = h.node_rng(0, NodeId(0));
         assert_ne!(e.gen::<u64>(), s.gen::<u64>());
         assert_eq!(h.master_seed(), 42);
     }
@@ -347,16 +332,6 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
         // A 50-element shuffle virtually never returns identity.
         assert_ne!(xs, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn choose_picks_members() {
-        let mut rng = SimRng::seed_from_u64(17);
-        let xs = [1, 2, 3];
-        for _ in 0..20 {
-            assert!(xs.contains(rng.choose(&xs).unwrap()));
-        }
-        assert!(rng.choose::<u32>(&[]).is_none());
     }
 
     #[test]

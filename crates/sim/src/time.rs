@@ -81,16 +81,6 @@ impl SimTime {
         self.0 / MICROS_PER_SEC
     }
 
-    /// The span from `earlier` to `self`, or `None` if `earlier` is later.
-    #[inline]
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        if self.0 >= earlier.0 {
-            Some(SimDuration(self.0 - earlier.0))
-        } else {
-            None
-        }
-    }
-
     /// The span from `earlier` to `self`, clamping to zero if `earlier` is
     /// later.
     #[inline]
@@ -389,8 +379,6 @@ mod tests {
         let a = SimTime::from_secs(4);
         let b = SimTime::from_secs(7);
         assert_eq!(b - a, SimDuration::from_secs(3));
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_secs(3)));
-        assert_eq!(a.checked_since(b), None);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
     }
 

@@ -81,15 +81,6 @@ impl Gen {
         &xs[self.usize_in(0, xs.len())]
     }
 
-    /// A random subset of `xs` where each element is kept with probability
-    /// `keep`.
-    pub fn subset<T: Clone>(&mut self, xs: &[T], keep: f64) -> Vec<T> {
-        xs.iter()
-            .filter(|_| self.weighted_bool(keep))
-            .cloned()
-            .collect()
-    }
-
     /// A shuffled copy of `0..n`.
     pub fn permutation(&mut self, n: usize) -> Vec<usize> {
         let mut xs: Vec<usize> = (0..n).collect();

@@ -2,32 +2,21 @@
 //!
 //! Encodes everything §IV of the paper fixes about a run:
 //!
-//! * [`arrivals`] — viewer arrival patterns (ramps, Poisson, flash crowds).
-//! * [`caps`] — link capacities (4000 kbps server, 600 kbps peers).
 //! * [`churn`] — exponential session/downtime churn schedules (Figs. 11–12).
 //! * [`grid`] — cartesian scenario-grid expansion with per-coordinate cell
 //!   seeds (the batch-sweep harness builds on this).
-//! * [`scenario`] — the bundle: population, chunk stream shape, capacities,
-//!   optional churn; installs itself into any protocol's simulator.
-//! * [`lag`] — viewer playback-lag assignment (prefetch-window studies).
-//! * [`topology`] — clustered region latency matrices (King-style data,
-//!   synthesized).
+//! * [`scenario`] — the bundle: population, chunk stream shape, optional
+//!   churn; installs itself into any protocol's simulator with the paper's
+//!   capacities (4000 kbps server, 600 kbps peers) and, without churn,
+//!   every viewer joining at `t = 0`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
-pub mod caps;
 pub mod churn;
 pub mod grid;
-pub mod lag;
 pub mod scenario;
-pub mod topology;
 
-pub use arrivals::ArrivalPattern;
-pub use caps::CapsProfile;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
 pub use grid::{ChurnLevel, GridCell, ScenarioGrid};
-pub use lag::LagProfile;
 pub use scenario::Scenario;
-pub use topology::RegionTopology;

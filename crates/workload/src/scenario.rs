@@ -1,18 +1,18 @@
 //! Experiment scenario construction.
 //!
 //! A [`Scenario`] bundles everything §IV fixes about a run — population,
-//! chunk stream shape, capacities, optional churn — and installs itself into
-//! any protocol's simulator: it creates the nodes with the right link
-//! capacities and schedules every join and leave. The protocol itself is
-//! supplied by the caller (`dco-core` or `dco-baselines`).
+//! chunk stream shape, optional churn — and installs itself into any
+//! protocol's simulator: it creates the nodes with the paper's link
+//! capacities (4000 kbps server, 600 kbps peers) and schedules every join
+//! and leave. The protocol itself is supplied by the caller (`dco-core` or
+//! `dco-baselines`).
 
 use dco_sim::engine::{Protocol, Simulator};
 use dco_sim::msg::SizeBits;
+use dco_sim::net::NodeCaps;
 use dco_sim::node::NodeId;
 use dco_sim::time::{SimDuration, SimTime};
 
-use crate::arrivals::ArrivalPattern;
-use crate::caps::CapsProfile;
 use crate::churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
 
 /// A complete experiment configuration.
@@ -26,13 +26,8 @@ pub struct Scenario {
     pub chunk_size: SizeBits,
     /// Interval between chunk emissions (1 s in the paper).
     pub chunk_interval: SimDuration,
-    /// Capacity profile.
-    pub caps: CapsProfile,
     /// Optional churn configuration (none = static network).
     pub churn: Option<ChurnConfig>,
-    /// Join schedule for the churn-free case (ignored when churn is
-    /// enabled — the churn schedule then owns every join/leave).
-    pub arrivals: ArrivalPattern,
     /// Run horizon: events past this instant are not scheduled and
     /// measurements stop here.
     pub horizon: SimTime,
@@ -49,9 +44,7 @@ impl Scenario {
             n_chunks: 100,
             chunk_size: SizeBits::from_kilobits(300),
             chunk_interval: SimDuration::from_secs(1),
-            caps: CapsProfile::PaperDefault,
             churn: None,
-            arrivals: ArrivalPattern::AllAtOnce,
             horizon: SimTime::from_secs(200),
             seed,
         }
@@ -72,11 +65,6 @@ impl Scenario {
         NodeId(0)
     }
 
-    /// When chunk `seq` is generated.
-    pub fn chunk_time(&self, seq: u32) -> SimTime {
-        SimTime::ZERO + self.chunk_interval * u64::from(seq)
-    }
-
     /// Generates the churn schedule for this scenario (empty when churn is
     /// disabled). The server never churns.
     pub fn churn_schedule(&self) -> ChurnSchedule {
@@ -93,14 +81,20 @@ impl Scenario {
         self.schedule_membership(sim)
     }
 
-    /// Creates all nodes in `sim` without scheduling anything. Sharded
+    /// Creates all nodes in `sim` — the server (node 0) at 4000 kbps, every
+    /// peer at 600 kbps — without scheduling anything. Sharded
     /// runs call this, then `Simulator::enable_sharding` (which must see
     /// the full node table but no events), then
     /// [`Scenario::schedule_membership`]; `install` is the two back to
     /// back.
     pub fn add_nodes<P: Protocol>(&self, sim: &mut Simulator<P>) {
         for i in 0..self.n_nodes {
-            let id = sim.add_node(self.caps.caps_for(i));
+            let caps = if i == 0 {
+                NodeCaps::server_default()
+            } else {
+                NodeCaps::peer_default()
+            };
+            let id = sim.add_node(caps);
             debug_assert_eq!(id, NodeId(i));
         }
     }
@@ -113,11 +107,10 @@ impl Scenario {
         sim.schedule_join(self.server(), SimTime::ZERO);
         let schedule = self.churn_schedule();
         if self.churn.is_none() {
-            // No churn: joins follow the arrival pattern (the paper's
-            // setting is everyone at t = 0, right after the server — the
-            // calendar is FIFO at equal instants).
+            // No churn: everyone joins at t = 0, right after the server
+            // and in node order (the calendar is FIFO at equal instants).
             for i in 1..self.n_nodes {
-                sim.schedule_join(NodeId(i), self.arrivals.join_time(NodeId(i), self.n_nodes));
+                sim.schedule_join(NodeId(i), SimTime::ZERO);
             }
         } else {
             for (node, seq) in &schedule.events {
@@ -139,18 +132,21 @@ mod tests {
     use dco_sim::engine::Ctx;
     use dco_sim::net::NetConfig;
 
-    /// A protocol that just counts joins and leaves.
+    /// A protocol that just counts joins and leaves, noting each joiner's
+    /// download rate in join order.
     #[derive(Default)]
     struct Census {
         joins: usize,
         leaves: usize,
+        joined: Vec<(NodeId, u32)>,
     }
 
     impl Protocol for Census {
         type Msg = ();
         type Timer = ();
-        fn on_join(&mut self, _: NodeId, _: &mut Ctx<'_, Self>) {
+        fn on_join(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
             self.joins += 1;
+            self.joined.push((node, ctx.download_rate(node).0));
         }
         fn on_message(&mut self, _: NodeId, _: NodeId, _: (), _: &mut Ctx<'_, Self>) {}
         fn on_timer(&mut self, _: NodeId, _: (), _: &mut Ctx<'_, Self>) {}
@@ -167,8 +163,6 @@ mod tests {
         assert_eq!(s.chunk_size.kilobits(), 300);
         assert_eq!(s.chunk_interval, SimDuration::from_secs(1));
         assert!(s.churn.is_none());
-        assert_eq!(s.chunk_time(0), SimTime::ZERO);
-        assert_eq!(s.chunk_time(99), SimTime::from_secs(99));
     }
 
     #[test]
@@ -180,9 +174,15 @@ mod tests {
         let mut sim = Simulator::new(Census::default(), NetConfig::default(), s.seed);
         let schedule = s.install(&mut sim);
         assert!(schedule.events.is_empty());
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.protocol().joins, 32);
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.protocol().joins, 32, "everyone joins at t = 0");
         assert_eq!(sim.alive_count(), 32);
+        // The server first at 4000 kbps, then every peer at 600 kbps, in
+        // node order.
+        let want: Vec<(NodeId, u32)> = (0..32)
+            .map(|i| (NodeId(i), if i == 0 { 4000 } else { 600 }))
+            .collect();
+        assert_eq!(sim.protocol().joined, want);
     }
 
     #[test]
@@ -205,23 +205,5 @@ mod tests {
     fn churn_schedule_is_deterministic() {
         let s = Scenario::paper_churn(90, 8);
         assert_eq!(s.churn_schedule().events, s.churn_schedule().events);
-    }
-
-    #[test]
-    fn ramp_arrivals_spread_joins() {
-        let s = Scenario {
-            n_nodes: 16,
-            arrivals: ArrivalPattern::Ramp {
-                span: dco_sim::time::SimDuration::from_secs(10),
-            },
-            ..Scenario::paper_default(4)
-        };
-        let mut sim = Simulator::new(Census::default(), NetConfig::default(), s.seed);
-        s.install(&mut sim);
-        sim.run_until(SimTime::from_secs(5));
-        let mid = sim.protocol().joins;
-        assert!(mid > 1 && mid < 16, "joins mid-ramp: {mid}");
-        sim.run_until(SimTime::from_secs(11));
-        assert_eq!(sim.protocol().joins, 16);
     }
 }
