@@ -1256,21 +1256,32 @@ impl ChordNet {
     pub fn build_static(peers: &[Peer], cfg: ChordConfig) -> Self {
         let cap = peers.iter().map(|p| p.node.index() + 1).max().unwrap_or(0);
         let mut net = ChordNet::new(cap, cfg);
-        let oracle = OracleRing::from_members(peers.iter().copied());
+        // The members in ID order: every pointer below is an index into it,
+        // found by binary search.
+        let ring: Vec<Peer> = OracleRing::from_members(peers.iter().copied())
+            .iter()
+            .collect();
+        let n = ring.len();
+        // Index of the first member at or after `key`, wrapping: its owner.
+        let owner_at = |key: ChordId| ring.partition_point(|q| q.id < key) % n;
         for &p in peers {
             let slot = p.node.index();
             let mut st = ChordState::new(p, &net.cfg);
             st.joined = true;
             if peers.len() > 1 {
-                st.pred = oracle.predecessor(p.id).filter(|q| q.node != p.node);
-                for s in oracle.successors(p.id, net.cfg.successor_list_len) {
+                st.pred = Some(ring[(owner_at(p.id) + n - 1) % n]).filter(|q| q.node != p.node);
+                let after = ring.partition_point(|q| q.id <= p.id);
+                for j in 0..net.cfg.successor_list_len.min(n) {
+                    let s = ring[(after + j) % n];
+                    if s.id == p.id {
+                        break;
+                    }
                     net.books.succs.offer(slot, p.id, s);
                 }
                 for k in 0..crate::id::ID_BITS {
-                    if let Some(owner) = oracle.owner(p.id.finger_start(k)) {
-                        if owner.node != p.node {
-                            net.books.fingers.set(slot, k, owner);
-                        }
+                    let owner = ring[owner_at(p.id.finger_start(k))];
+                    if owner.node != p.node {
+                        net.books.fingers.set(slot, k, owner);
                     }
                 }
             }
@@ -1326,6 +1337,18 @@ mod tests {
             let st = net.state(p.node).unwrap();
             assert_eq!(st.successor(), oracle.successor(p.id), "succ of {p:?}");
             assert_eq!(st.predecessor(), oracle.predecessor(p.id), "pred of {p:?}");
+            let len = ChordConfig::default().successor_list_len;
+            assert_eq!(
+                st.successor_list(),
+                oracle.successors(p.id, len),
+                "succs of {p:?}"
+            );
+            for k in 0..crate::id::ID_BITS {
+                let want = oracle
+                    .owner(p.id.finger_start(k))
+                    .filter(|o| o.node != p.node);
+                assert_eq!(st.fingers().get(k), want, "finger {k} of {p:?}");
+            }
             assert!(st.is_joined());
         }
     }

@@ -9,21 +9,33 @@
 //!   pending event whose bucket is at or before the cursor. Pops come from
 //!   here, so the heap the hot path touches holds one bucket's worth of
 //!   events instead of the whole future.
-//! * **`ring`** — the near future: a power-of-two ring of unsorted
-//!   per-bucket vectors covering the `RING_BUCKETS - 1` buckets after the
-//!   cursor, with a word-level occupancy bitmap so advancing the cursor
-//!   skips empty buckets without scanning them. Pushing here is an O(1)
-//!   vector append — no comparisons, no sift.
+//! * **ring** — the near future: a power-of-two ring of unsorted buckets
+//!   covering the `RING_BUCKETS - 1` buckets after the cursor, with a
+//!   word-level occupancy bitmap so advancing the cursor skips empty
+//!   buckets without scanning them. Pushing here is an O(1) append — no
+//!   comparisons, no sift.
 //! * **`overflow`** — the far future (beyond the ring window): a binary
 //!   heap, drained bucket-by-bucket into `cur` as the cursor reaches it.
 //!
-//! Total pop order is exactly `(time, sequence)`: everything in `cur` fires
+//! **Memory.** The ring's buckets live in one arena of fixed-size blocks
+//! (at most `BLOCK` entries each) that all slots share: a slot is the head
+//! of a chain of blocks, and a drained slot's blocks go back on a free
+//! list for whichever slot fills next. Blocks grow lazily up to `BLOCK`
+//! entries and are never freed, so the ring retains at most
+//! `peak ring occupancy / BLOCK + RING_BUCKETS` blocks — one partial block
+//! per slot on top of what the busiest instant needed. No slot owns
+//! capacity: the overlay's traffic comes in bursts (one per chunk
+//! period, each landing on a different slot), and a buffer per slot would
+//! keep every slot's largest burst for the rest of the run.
+//!
+//! Total pop order is exactly `(time, key)`: everything in `cur` fires
 //! strictly before anything in the ring or overflow (later buckets mean
-//! strictly later times), and `cur` itself is a stable min-heap. The
-//! monotonically increasing sequence number makes the queue **stable** —
-//! events scheduled earlier for the same instant fire first — which is what
-//! makes whole runs deterministic for a fixed seed. The replacement is
-//! bit-exact with the old heap: the golden trace digests in
+//! strictly later times), and `cur` itself is a min-heap over unique keys.
+//! In FIFO mode the key is a monotonically increasing sequence number,
+//! which makes the queue **stable** — events scheduled earlier for the
+//! same instant fire first — and whole runs deterministic for a fixed
+//! seed. Because keys are unique, how a bucket is laid out in the heap
+//! cannot change the pop order; the golden trace digests in
 //! `tests/determinism.rs` pin that.
 
 use std::cmp::Ordering;
@@ -45,23 +57,33 @@ const RING_BUCKETS: usize = 512;
 /// Occupancy bitmap words.
 const RING_WORDS: usize = RING_BUCKETS / 64;
 
-/// An entry in the calendar: a payload due at `at`, tie-broken by `key`.
+/// Entries per arena block (a power of two, so lazy doubling from the
+/// smallest allocation lands on it exactly).
+const BLOCK: usize = 64;
+
+/// End-of-chain marker for block links and slot heads.
+const NIL: u32 = u32::MAX;
+
+/// An entry in the calendar: a payload due at `at`, tie-broken by the
+/// 128-bit key `(key_hi, key_lo)`.
 ///
 /// In the default FIFO mode the key is the monotone insertion sequence
 /// number (so equal-time events fire in insertion order). The sharded
 /// engine instead supplies *canonical stamp* keys — 128-bit values derived
 /// from the event's provenance that are identical no matter which worker
 /// process scheduled the event — which is what makes the sharded dispatch
-/// order shard-count-invariant.
+/// order shard-count-invariant. The key is stored as two `u64` words
+/// rather than a `u128`, which would force 16-byte alignment on the entry.
 struct Scheduled<E> {
     at: SimTime,
-    key: u128,
+    key_hi: u64,
+    key_lo: u64,
     payload: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
+        self.at == other.at && self.key_hi == other.key_hi && self.key_lo == other.key_lo
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -79,8 +101,16 @@ impl<E> Ord for Scheduled<E> {
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
+            .then(other.key_hi.cmp(&self.key_hi))
+            .then(other.key_lo.cmp(&self.key_lo))
     }
+}
+
+/// One arena block: up to `BLOCK` unsorted entries of a ring slot, linked
+/// to the slot's next (older) block, or to the next free block.
+struct Block<E> {
+    entries: Vec<Scheduled<E>>,
+    next: u32,
 }
 
 /// The bucket index of an instant.
@@ -94,9 +124,16 @@ pub struct EventQueue<E> {
     /// Active region: every pending event with `bucket <= cursor`.
     cur: BinaryHeap<Scheduled<E>>,
     /// Near future: bucket `b` with `cursor < b < cursor + RING_BUCKETS`
-    /// lives (unsorted) at slot `b % RING_BUCKETS`. Vectors keep their
-    /// allocation across window generations.
-    ring: Vec<Vec<Scheduled<E>>>,
+    /// lives (unsorted) in the block chain headed at slot
+    /// `b % RING_BUCKETS`; `NIL` marks an empty slot. The head block is
+    /// the one being filled.
+    heads: [u32; RING_BUCKETS],
+    /// The block arena shared by all ring slots. Blocks are recycled
+    /// through `free`, never released, and hold at most `BLOCK` entries,
+    /// so its size tracks peak ring occupancy, not per-slot history.
+    blocks: Vec<Block<E>>,
+    /// Head of the free-block list (linked through `Block::next`).
+    free: u32,
     /// One bit per ring slot with at least one event.
     occupied: [u64; RING_WORDS],
     /// Events currently in the ring (fast empty check).
@@ -121,7 +158,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             cur: BinaryHeap::new(),
-            ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: [NIL; RING_BUCKETS],
+            blocks: Vec::with_capacity(RING_BUCKETS),
+            free: NIL,
             occupied: [0; RING_WORDS],
             ring_len: 0,
             overflow: BinaryHeap::new(),
@@ -157,17 +196,81 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.len += 1;
         let b = bucket_of(at);
-        let entry = Scheduled { at, key, payload };
+        let entry = Scheduled {
+            at,
+            key_hi: (key >> 64) as u64,
+            key_lo: key as u64,
+            payload,
+        };
         if b <= self.cursor {
             self.cur.push(entry);
         } else if b - self.cursor < RING_BUCKETS as u64 {
             let slot = (b % RING_BUCKETS as u64) as usize;
-            self.ring[slot].push(entry);
+            self.ring_push(slot, entry);
             self.occupied[slot / 64] |= 1 << (slot % 64);
             self.ring_len += 1;
         } else {
             self.overflow.push(entry);
         }
+    }
+
+    /// Appends `entry` to ring slot `slot`'s head block, chaining a fresh
+    /// block first when the slot is empty or its head block is full.
+    #[inline]
+    fn ring_push(&mut self, slot: usize, entry: Scheduled<E>) {
+        let mut h = self.heads[slot];
+        if h == NIL || self.blocks[h as usize].entries.len() == BLOCK {
+            h = self.take_block(h);
+            self.heads[slot] = h;
+        }
+        let entries = &mut self.blocks[h as usize].entries;
+        if entries.len() == entries.capacity() {
+            // Grow by doubling, but never past `BLOCK`: a block's capacity
+            // is what the arena's memory bound counts.
+            let want = (entries.capacity() * 2).clamp(4, BLOCK);
+            entries.reserve_exact(want - entries.len());
+        }
+        entries.push(entry);
+    }
+
+    /// A block from the free list (or a new, still unallocated one) linked
+    /// in front of `next`.
+    fn take_block(&mut self, next: u32) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let block = &mut self.blocks[i as usize];
+            self.free = block.next;
+            block.next = next;
+            i
+        } else {
+            let i = self.blocks.len() as u32;
+            assert!(i != NIL, "event queue block arena exhausted");
+            self.blocks.push(Block {
+                entries: Vec::new(),
+                next,
+            });
+            i
+        }
+    }
+
+    /// Moves every event of ring slot `slot` into the (empty) active heap
+    /// and returns the slot's blocks to the free list. The entries are
+    /// appended to `cur`'s own buffer and heapified once, in O(n).
+    fn drain_slot(&mut self, slot: usize) {
+        debug_assert!(self.cur.is_empty());
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        let mut active = std::mem::take(&mut self.cur).into_vec();
+        let mut i = std::mem::replace(&mut self.heads[slot], NIL);
+        while i != NIL {
+            let block = &mut self.blocks[i as usize];
+            self.ring_len -= block.entries.len();
+            active.append(&mut block.entries);
+            let next = block.next;
+            block.next = self.free;
+            self.free = i;
+            i = next;
+        }
+        self.cur = BinaryHeap::from(active);
     }
 
     /// Moves the earliest pending bucket into `cur` until `cur` is
@@ -187,15 +290,7 @@ impl<E> EventQueue<E> {
                 (None, None) => return,
             };
             if b_ring == Some(b) {
-                let slot = (b % RING_BUCKETS as u64) as usize;
-                self.ring_len -= self.ring[slot].len();
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-                // `drain` keeps the slot's allocation for the next window
-                // generation; `extend` heapifies element-by-element, which
-                // is fine at bucket granularity.
-                let mut bucket = std::mem::take(&mut self.ring[slot]);
-                self.cur.extend(bucket.drain(..));
-                self.ring[slot] = bucket;
+                self.drain_slot((b % RING_BUCKETS as u64) as usize);
             }
             if b_ovf == Some(b) {
                 while let Some(s) = self.overflow.peek() {
@@ -436,5 +531,84 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "b0-end");
         assert_eq!(q.pop().unwrap().1, "b1-start");
         assert_eq!(q.pop().unwrap().1, "b1-second");
+    }
+
+    /// A 100k-event burst into one bucket, then 20 ring generations of
+    /// sparse traffic: the arena never holds more blocks than the peak ring
+    /// occupancy needs plus one partial block per slot, and no block grows
+    /// past `BLOCK` entries.
+    #[test]
+    fn arena_is_bounded_by_peak_ring_occupancy() {
+        let bucket_us = 1u64 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        let burst_at = SimTime::from_micros(10 * bucket_us);
+        for i in 0..100_000u64 {
+            q.push(burst_at, i);
+        }
+        let mut peak = q.ring_len;
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, 100_000);
+        let mut x = 1u64;
+        for step in 0..20 * RING_BUCKETS as u64 {
+            let now = (11 + step) * bucket_us;
+            for _ in 0..3 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let ahead = 1 + (x >> 33) % (RING_BUCKETS as u64 - 1);
+                q.push(SimTime::from_micros(now + ahead * bucket_us), step);
+            }
+            peak = peak.max(q.ring_len);
+            while q
+                .peek_time()
+                .is_some_and(|t| t.as_micros() <= now + bucket_us)
+            {
+                q.pop();
+            }
+        }
+        let blocks = q.blocks.len();
+        let widest = q.blocks.iter().map(|b| b.entries.capacity()).max();
+        assert!(
+            blocks <= peak / BLOCK + RING_BUCKETS,
+            "{blocks} blocks for a peak of {peak} ring entries"
+        );
+        assert!(widest <= Some(BLOCK), "a block holds {widest:?} entries");
+        assert!(!q.is_empty(), "sparse traffic keeps the ring populated");
+    }
+
+    /// One bucket spread over several blocks, times and keys scrambled
+    /// within it: the drain pops the exact `(time, key)` sort.
+    #[test]
+    fn multi_block_drain_pops_in_time_then_key_order() {
+        let bucket_us = 1u64 << BUCKET_SHIFT;
+        let base = 3 * bucket_us;
+        let n = 5 * BLOCK as u64 + 7;
+        let mut q = EventQueue::new();
+        let mut want = Vec::new();
+        for i in 0..n {
+            // Few distinct instants so keys break many ties; keys run
+            // against insertion order.
+            let at = base + (i * 37) % 5 * (bucket_us / 5);
+            let key = u128::from((i * 101) % n) << (i % 2 * 64);
+            q.push_keyed(SimTime::from_micros(at), key, i);
+            want.push((at, key, i));
+        }
+        let slot = (base >> BUCKET_SHIFT) as usize % RING_BUCKETS;
+        let mut chain = 0;
+        let mut b = q.heads[slot];
+        while b != NIL {
+            chain += 1;
+            b = q.blocks[b as usize].next;
+        }
+        assert_eq!(chain, n.div_ceil(BLOCK as u64), "bucket spans its blocks");
+        want.sort();
+        for (at, _, i) in want {
+            assert_eq!(q.pop(), Some((SimTime::from_micros(at), i)));
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.heads[slot], NIL, "drained slot is empty");
     }
 }

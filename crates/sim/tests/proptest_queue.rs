@@ -3,8 +3,9 @@
 //! The calendar ([`dco_sim::queue::EventQueue`]) is checked against a
 //! trivially-correct reference model — a flat list popped by minimum
 //! `(time, sequence)` — under event populations that straddle bucket
-//! boundaries, span the ring window, and spill into the far-future
-//! overflow heap. Driven by the in-tree `dco-testkit` (deterministic
+//! boundaries, span the ring window, spill into the far-future
+//! overflow heap, and pile hundreds of events into a few buckets (so one
+//! bucket spans several of the ring's arena blocks). Driven by the in-tree `dco-testkit` (deterministic
 //! seeds, `DCO_TESTKIT_REPLAY` to reproduce a failure).
 
 use dco_sim::queue::EventQueue;
@@ -158,4 +159,52 @@ fn equal_time_events_fire_in_insertion_order() {
         }
         Ok(())
     });
+}
+
+/// Bursty traffic, the chunk-driven overlay's regime: hundreds of events
+/// piled into a few buckets (several arena blocks each), a share spilled
+/// past the ring window into overflow, and pops interleaved so drained
+/// blocks are recycled into later bursts.
+#[test]
+fn bursts_into_few_buckets_pop_the_pending_minimum() {
+    check(
+        "bursts_into_few_buckets_pop_the_pending_minimum",
+        100,
+        |g| {
+            let mut q = EventQueue::new();
+            let mut model = Model::new();
+            let mut frontier = 0u64;
+            for _ in 0..g.usize_in(1, 6) {
+                // A few hot buckets ahead of the frontier, one maybe past the
+                // ring window.
+                let hot: Vec<u64> = (0..g.usize_in(1, 4))
+                    .map(|_| {
+                        let ahead = if g.weighted_bool(0.2) {
+                            g.u64_in(512, 3 * 512)
+                        } else {
+                            g.u64_in(0, 512)
+                        };
+                        (frontier / BUCKET_US + ahead) * BUCKET_US
+                    })
+                    .collect();
+                for _ in 0..g.usize_in(50, 400) {
+                    let t = *g.pick(&hot) + g.u64_in(0, BUCKET_US);
+                    q.push(SimTime::from_micros(t), model.push(t));
+                }
+                for _ in 0..g.usize_in(0, 300) {
+                    let Some(want) = model.pop() else { break };
+                    let (t, seq) = q.pop().expect("queue drained early");
+                    tk_assert_eq!((t.as_micros(), seq), want, "burst pop order");
+                    frontier = want.0;
+                }
+                tk_assert_eq!(q.len(), model.pending.len(), "len tracks model");
+            }
+            while let Some(want) = model.pop() {
+                let (t, seq) = q.pop().expect("final drain");
+                tk_assert_eq!((t.as_micros(), seq), want, "final drain order");
+            }
+            tk_assert_eq!(q.pop(), None, "fully drained");
+            Ok(())
+        },
+    );
 }

@@ -386,12 +386,12 @@ macro_rules! pinned_row_tests {
 pinned_row_tests! {
     pinned_fifo_static_1k: Static, Fifo, 1_000, "release-scale: N=1000";
     pinned_fifo_static_5k: Static, Fifo, 5_000, "release-scale: N=5000";
-    pinned_fifo_static_10k: Static, Fifo, 10_000, "release-scale: N=10000, ~3 GiB peak";
-    pinned_fifo_static_50k: Static, Fifo, 50_000, "recorded peak 16.8 GiB live";
-    pinned_fifo_static_100k: Static, Fifo, 100_000, "recorded peak 36.9 GiB live";
+    pinned_fifo_static_10k: Static, Fifo, 10_000, "release-scale: N=10000, ~50 s, 117 MiB peak RSS";
+    pinned_fifo_static_50k: Static, Fifo, 50_000, "release-scale: N=50000, ~6 min, 588 MiB peak RSS";
+    pinned_fifo_static_100k: Static, Fifo, 100_000, "release-scale: N=100000, ~17 min, 1.2 GiB peak RSS";
     pinned_fifo_churn_1k: Churn, Fifo, 1_000, "release-scale: N=1000";
-    pinned_fifo_churn_10k: Churn, Fifo, 10_000, "release-scale: N=10000, ~4 GiB peak";
-    pinned_fifo_churn_50k: Churn, Fifo, 50_000, "release-scale: N=50000, 8.2 GiB peak";
+    pinned_fifo_churn_10k: Churn, Fifo, 10_000, "release-scale: N=10000, ~5 min, 247 MiB peak RSS";
+    pinned_fifo_churn_50k: Churn, Fifo, 50_000, "release-scale: N=50000, ~39 min, 1.2 GiB peak RSS";
     pinned_canonical_static_1k: Static, Canonical, 1_000, "release-scale: N=1000";
     pinned_canonical_static_10k: Static, Canonical, 10_000, "release-scale: N=10000";
     pinned_canonical_churn_1k: Churn, Canonical, 1_000, "release-scale: N=1000";
