@@ -23,12 +23,11 @@
 //! `[dest_shard u8][encoded batch]` and the batch bytes are forwarded
 //! untouched, so relay cost is independent of message complexity.
 
-use std::collections::BTreeMap;
 use std::io;
 
 use dco_sim::engine::{Protocol, RemoteMsg, Simulator};
 use dco_sim::time::{SimDuration, SimTime};
-use dco_sim::wire::{decode_exact, WireCodec};
+use dco_sim::wire::{WireCodec, WireReader};
 
 use crate::link::FrameLink;
 
@@ -51,11 +50,94 @@ fn proto_err(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
+/// One epoch's outgoing `MSGS` payloads, one per destination shard, each
+/// `[dest u8][u32 count][messages…]` — the bytes a `Vec<RemoteMsg>` encodes
+/// to behind the destination byte. The buffers keep their capacity from
+/// epoch to epoch.
+#[derive(Default)]
+struct Batches {
+    frames: Vec<Vec<u8>>,
+    counts: Vec<u32>,
+}
+
+impl Batches {
+    /// Appends `m` to the batch for shard `dest`.
+    fn push<M: WireCodec>(&mut self, dest: u8, m: &RemoteMsg<M>) {
+        let d = usize::from(dest);
+        if d >= self.frames.len() {
+            self.frames.resize_with(d + 1, Vec::new);
+            self.counts.resize(d + 1, 0);
+        }
+        let frame = &mut self.frames[d];
+        if self.counts[d] == 0 {
+            frame.clear();
+            frame.push(dest);
+            // The count, patched in by `send`.
+            frame.extend_from_slice(&[0; 4]);
+        }
+        m.encode(frame);
+        self.counts[d] += 1;
+    }
+
+    /// Sends every non-empty batch as a `MSGS` frame, in ascending
+    /// destination order, and empties them all.
+    fn send<L: FrameLink>(&mut self, link: &mut L) -> io::Result<()> {
+        for (frame, count) in self.frames.iter_mut().zip(&mut self.counts) {
+            if *count > 0 {
+                frame[1..5].copy_from_slice(&count.to_le_bytes());
+                *count = 0;
+                link.send(tag::MSGS, frame)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decodes one `INJECT` batch and injects each message as it is read.
+/// Rejects a count the bytes cannot hold before injecting anything, and
+/// trailing bytes after the last message.
+fn inject_batch<P>(sim: &mut Simulator<P>, batch: &[u8], end: SimTime) -> Result<(), String>
+where
+    P: Protocol,
+    P::Msg: WireCodec,
+{
+    let mut r = WireReader::new(batch);
+    let n = r.get::<u32>().map_err(|e| e.to_string())?;
+    // Every message takes more than one byte, so a count beyond the bytes
+    // left is corrupt whatever follows.
+    if n as usize > r.remaining() {
+        return Err(format!("count {n} with {} bytes left", r.remaining()));
+    }
+    for _ in 0..n {
+        let m: RemoteMsg<P::Msg> = r.get().map_err(|e| e.to_string())?;
+        // Sent inside this window, so it arrives at or after its end;
+        // anything earlier would land in the past.
+        if m.at < end {
+            return Err(format!(
+                "injected arrival {} inside the closed window (ends {end})",
+                m.at
+            ));
+        }
+        sim.inject_remote(m)?;
+    }
+    if !r.is_empty() {
+        return Err(format!(
+            "{} trailing byte(s) after the last message",
+            r.remaining()
+        ));
+    }
+    Ok(())
+}
+
 /// Drives one worker's share of the run, then sends `finish`'s bytes as the
 /// `RESULT` frame.
 ///
 /// `sim` must already have sharding enabled (which pins `lookahead` to the
 /// network's constant latency) and the full membership script installed.
+///
+/// The outbox, the per-destination batches and the receive buffer are kept
+/// across epochs, so the exchange itself allocates only while they grow
+/// to the run's largest epoch.
 pub fn run_worker<P, L, F>(
     sim: &mut Simulator<P>,
     horizon: SimTime,
@@ -71,6 +153,9 @@ where
 {
     assert!(lookahead > SimDuration::ZERO, "lookahead must be positive");
     let window = lookahead.as_micros();
+    let mut outbox: Vec<RemoteMsg<P::Msg>> = Vec::new();
+    let mut batches = Batches::default();
+    let mut buf = Vec::new();
     let mut epoch: u64 = 0;
     loop {
         let end_us = (epoch + 1).checked_mul(window).expect("epoch overflow");
@@ -81,46 +166,27 @@ where
         sim.run_before(end);
 
         // Group the outbox per destination shard so the orchestrator can
-        // relay each batch without decoding it. BTreeMap: deterministic
-        // frame order.
-        let outbox: Vec<RemoteMsg<P::Msg>> = sim.drain_shard_outbox().collect();
-        let mut by_dest: BTreeMap<u8, Vec<RemoteMsg<P::Msg>>> = BTreeMap::new();
-        for m in outbox {
+        // relay each batch without decoding it. The outbox is staged first
+        // because draining it borrows `sim`, which `shard_of` reads.
+        outbox.extend(sim.drain_shard_outbox());
+        for m in outbox.drain(..) {
             let dest = sim.shard_of(m.to).expect("sharding enabled");
-            by_dest.entry(dest).or_default().push(m);
+            batches.push(dest, &m);
         }
-        for (dest, batch) in &by_dest {
-            let mut payload = vec![*dest];
-            batch.encode(&mut payload);
-            link.send(tag::MSGS, &payload)?;
-        }
+        batches.send(link)?;
         link.send(tag::EPOCH_DONE, &epoch.to_le_bytes())?;
         link.flush()?;
 
         // Absorb forwarded batches until the orchestrator opens the next
         // window.
         loop {
-            let (t, p) = link.recv()?;
-            match t {
-                tag::INJECT => {
-                    let batch: Vec<RemoteMsg<P::Msg>> = decode_exact(&p)
-                        .map_err(|e| proto_err(format!("epoch {epoch}: bad inject: {e}")))?;
-                    for m in batch {
-                        // Sent inside this window, so it arrives at or after
-                        // its end; anything earlier would land in the past.
-                        if m.at < end {
-                            return Err(proto_err(format!(
-                                "epoch {epoch}: injected arrival {} inside the closed window (ends {end})",
-                                m.at
-                            )));
-                        }
-                        sim.inject_remote(m)
-                            .map_err(|e| proto_err(format!("epoch {epoch}: bad inject: {e}")))?;
-                    }
-                }
+            match link.recv_into(&mut buf)? {
+                tag::INJECT => inject_batch(sim, &buf, end)
+                    .map_err(|e| proto_err(format!("epoch {epoch}: bad inject: {e}")))?,
                 tag::EPOCH_GO => {
                     let got = u64::from_le_bytes(
-                        p.try_into()
+                        buf[..]
+                            .try_into()
                             .map_err(|_| proto_err("bad EPOCH_GO payload"))?,
                     );
                     if got != epoch {
@@ -160,6 +226,10 @@ pub struct RelayReport {
 /// Relays epochs between `links[shard]` workers until every worker returns
 /// its `RESULT`.
 ///
+/// Frames are read into one buffer, and each batch is copied into a
+/// per-destination slot that later epochs reuse, so relaying allocates
+/// only while those buffers grow.
+///
 /// Any worker failure (dead pipe, protocol violation, desync) aborts the
 /// relay with an error naming the shard; the caller is responsible for
 /// reaping processes (see [`crate::procpool`]).
@@ -174,9 +244,13 @@ pub fn run_orchestrator<L: FrameLink>(links: &mut [L]) -> io::Result<RelayReport
     };
     let shard_err =
         |shard: usize, e: io::Error| io::Error::new(e.kind(), format!("shard {shard}: {e}"));
+    let mut buf = Vec::new();
+    // pending[dest][..queued[dest]] = batch payloads to forward once the
+    // barrier closes; slots past `queued` are spare capacity.
+    let mut pending: Vec<Vec<Vec<u8>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut queued = vec![0usize; k];
     loop {
-        // pending[dest] = batch payloads to forward once the barrier closes.
-        let mut pending: Vec<Vec<Vec<u8>>> = (0..k).map(|_| Vec::new()).collect();
+        queued.fill(0);
         let mut at_barrier = 0usize;
         let mut finished = 0usize;
         for (shard, link) in links.iter_mut().enumerate() {
@@ -186,24 +260,30 @@ pub fn run_orchestrator<L: FrameLink>(links: &mut [L]) -> io::Result<RelayReport
                 )));
             }
             loop {
-                let (t, p) = link.recv().map_err(|e| shard_err(shard, e))?;
-                match t {
+                match link.recv_into(&mut buf).map_err(|e| shard_err(shard, e))? {
                     tag::MSGS => {
-                        let dest = *p
-                            .first()
-                            .ok_or_else(|| proto_err(format!("shard {shard}: empty MSGS")))?
-                            as usize;
+                        let (&dest, batch) = buf
+                            .split_first()
+                            .ok_or_else(|| proto_err(format!("shard {shard}: empty MSGS")))?;
+                        let dest = usize::from(dest);
                         if dest >= k || dest == shard {
                             return Err(proto_err(format!(
                                 "shard {shard}: bad destination {dest}"
                             )));
                         }
                         report.forwarded_batches += 1;
-                        report.forwarded_bytes += (p.len() - 1) as u64;
-                        pending[dest].push(p[1..].to_vec());
+                        report.forwarded_bytes += batch.len() as u64;
+                        let slots = &mut pending[dest];
+                        if queued[dest] == slots.len() {
+                            slots.push(Vec::new());
+                        }
+                        let slot = &mut slots[queued[dest]];
+                        slot.clear();
+                        slot.extend_from_slice(batch);
+                        queued[dest] += 1;
                     }
                     tag::EPOCH_DONE => {
-                        let got = u64::from_le_bytes(p.try_into().map_err(|_| {
+                        let got = u64::from_le_bytes(buf[..].try_into().map_err(|_| {
                             proto_err(format!("shard {shard}: bad EPOCH_DONE payload"))
                         })?);
                         if got != report.epochs {
@@ -216,7 +296,7 @@ pub fn run_orchestrator<L: FrameLink>(links: &mut [L]) -> io::Result<RelayReport
                         break;
                     }
                     tag::RESULT => {
-                        results[shard] = Some(p);
+                        results[shard] = Some(std::mem::take(&mut buf));
                         finished += 1;
                         break;
                     }
@@ -240,10 +320,10 @@ pub fn run_orchestrator<L: FrameLink>(links: &mut [L]) -> io::Result<RelayReport
                 "epoch desync: {at_barrier}/{k} at barrier, {finished} finished"
             )));
         }
-        for (dest, batches) in pending.into_iter().enumerate() {
-            for b in batches {
+        for (dest, slots) in pending.iter().enumerate() {
+            for b in &slots[..queued[dest]] {
                 links[dest]
-                    .send(tag::INJECT, &b)
+                    .send(tag::INJECT, b)
                     .map_err(|e| shard_err(dest, e))?;
             }
         }
@@ -257,138 +337,33 @@ pub fn run_orchestrator<L: FrameLink>(links: &mut [L]) -> io::Result<RelayReport
     }
 }
 
-/// Encodes one cross-shard batch exactly as [`run_worker`] frames it:
-/// `[dest u8][u32 count][messages…]`. Exposed for tests.
-pub fn encode_batch<M: WireCodec>(dest: u8, batch: &[RemoteMsg<M>]) -> Vec<u8> {
-    let mut payload = vec![dest];
-    // Slices encode like Vec: u32 count then elements.
-    (batch.len() as u32).encode(&mut payload);
-    for m in batch {
-        m.encode(&mut payload);
-    }
-    payload
-}
+/// The test protocol, shared with the `alloc_guard` test binary.
+#[cfg(test)]
+#[path = "../tests/ring/mod.rs"]
+mod ring;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{channel_pair, ChannelLink};
-    use dco_sim::engine::Ctx;
-    use dco_sim::net::NetConfig;
+    use crate::link::channel_pair;
     use dco_sim::node::NodeId;
-    use dco_sim::prelude::NodeCaps;
-    use dco_sim::rng::splitmix64;
-    use dco_sim::wire::{encode_to_vec, WireReader};
-    use std::thread;
+    use dco_sim::wire::{decode_exact, encode_to_vec};
 
-    /// Minimal protocol exercising the full frame path: every node pings its
-    /// clockwise neighbour each 100 ms and node 0 broadcasts to everyone.
-    struct Ring {
-        n: u32,
-        received: u64,
-        /// Order-independent message digest (each delivery is owned by
-        /// exactly one shard, so per-shard sums add up to the global sum).
-        checksum: u64,
-    }
-
-    impl Protocol for Ring {
-        type Msg = u32;
-        type Timer = ();
-        fn on_join(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
-            ctx.set_timer(node, SimDuration::from_millis(100), ());
-        }
-        fn on_message(&mut self, node: NodeId, from: NodeId, msg: u32, _ctx: &mut Ctx<'_, Self>) {
-            self.received += 1;
-            let word = u64::from(node.0) << 40 | u64::from(from.0) << 20 | u64::from(msg);
-            self.checksum = self.checksum.wrapping_add(splitmix64(word));
-        }
-        fn on_timer(&mut self, node: NodeId, _t: (), ctx: &mut Ctx<'_, Self>) {
-            let next = NodeId((node.0 + 1) % self.n);
-            ctx.send_control(node, next, node.0, "ping");
-            if node == NodeId(0) {
-                for peer in 1..self.n {
-                    ctx.send_control(node, NodeId(peer), 0xB00 + peer, "bcast");
-                }
-            }
-            ctx.set_timer(node, SimDuration::from_millis(100), ());
-        }
-    }
-
-    fn build(map: Vec<u8>, me: u8, k: u8, n: u32) -> Simulator<Ring> {
-        let mut sim = Simulator::new(
-            Ring {
-                n,
-                received: 0,
-                checksum: 0,
-            },
-            NetConfig::paper_model(),
-            7,
-        );
-        for _ in 0..n {
-            sim.add_node(NodeCaps::peer_default());
-        }
-        sim.enable_sharding(map, me, k);
-        for id in 0..n {
-            sim.schedule_join(NodeId(id), SimTime::ZERO);
-        }
-        sim
-    }
-
-    /// Full worker/orchestrator protocol over in-memory links, K threads.
-    fn run_k(k: u8) -> (u64, u64, u64, u64) {
-        let n = 12u32;
-        let horizon = SimTime::from_micros(2_030_000); // not a window multiple
-        let lookahead = SimDuration::from_millis(50);
-        let map: Vec<u8> = (0..n).map(|id| (id % u32::from(k)) as u8).collect();
-        let mut orch_links: Vec<ChannelLink> = Vec::new();
-        let mut handles = Vec::new();
-        for me in 0..k {
-            let (orch_side, worker_side) = channel_pair();
-            orch_links.push(orch_side);
-            let map = map.clone();
-            handles.push(thread::spawn(move || {
-                let mut link = worker_side;
-                let mut sim = build(map, me, k, n);
-                run_worker(&mut sim, horizon, lookahead, &mut link, |sim| {
-                    let stats = sim.shard_stats().unwrap();
-                    let mut out = Vec::new();
-                    stats.set_digest.encode(&mut out);
-                    stats.owned_events.encode(&mut out);
-                    sim.protocol().received.encode(&mut out);
-                    sim.protocol().checksum.encode(&mut out);
-                    out
-                })
-                .unwrap();
-            }));
-        }
-        let report = run_orchestrator(&mut orch_links).unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let (mut root, mut events, mut received, mut checksum) = (0u64, 0u64, 0u64, 0u64);
-        for r in &report.results {
-            let mut rd = WireReader::new(r);
-            root = root.wrapping_add(rd.get::<u64>().unwrap());
-            events += rd.get::<u64>().unwrap();
-            received += rd.get::<u64>().unwrap();
-            checksum = checksum.wrapping_add(rd.get::<u64>().unwrap());
-            assert!(rd.is_empty());
-        }
-        assert_eq!(report.epochs, 40, "2.03 s / 50 ms = 40 full windows");
-        if k > 1 {
-            assert!(report.forwarded_batches > 0, "cross-shard traffic exists");
-        }
-        (root, events, received, checksum)
-    }
+    use super::ring::{self, build, run_k};
 
     #[test]
     fn worker_orchestrator_protocol_is_shard_count_invariant() {
-        let one = run_k(1);
-        let two = run_k(2);
-        let three = run_k(3);
+        let one = run_k(1, 40, channel_pair);
+        let two = run_k(2, 40, channel_pair);
+        let three = run_k(3, 40, channel_pair);
         assert_eq!(one, two);
         assert_eq!(one, three);
         assert!(one.2 > 400, "messages actually flowed: {}", one.2);
+    }
+
+    #[test]
+    fn pipe_links_give_the_channel_result() {
+        assert_eq!(run_k(2, 40, ring::pipe_pair), run_k(2, 40, channel_pair));
     }
 
     #[test]
@@ -400,41 +375,68 @@ mod tests {
         assert!(err.to_string().contains("shard 0"), "{err}");
     }
 
-    /// Runs worker 0 of 2 for one 50 ms window with `inject` relayed at
-    /// the barrier, playing the orchestrator over a `ChannelLink`.
-    fn worker_with_inject(inject: RemoteMsg<u32>) -> (io::Result<()>, u64) {
+    /// The `MSGS` payloads `run_worker` sends for `msgs`, each pushed to
+    /// its `(dest, msg)` batch: `(dest, batch bytes)` in wire order.
+    fn framed(msgs: &[(u8, &RemoteMsg<u32>)]) -> Vec<(u8, Vec<u8>)> {
+        let mut batches = Batches::default();
+        for (dest, m) in msgs {
+            batches.push(*dest, m);
+        }
+        let (mut tx, mut rx) = channel_pair();
+        batches.send(&mut tx).unwrap();
+        drop(tx);
+        let mut out = Vec::new();
+        while let Ok((t, p)) = rx.recv() {
+            assert_eq!(t, tag::MSGS);
+            out.push((p[0], p[1..].to_vec()));
+        }
+        out
+    }
+
+    /// Runs worker 0 of 2 through one 50 ms window with `batch` relayed as
+    /// an `INJECT` payload at the barrier, playing the orchestrator over a
+    /// `ChannelLink`. Then runs the shard on to the 60 ms horizon whatever
+    /// the outcome, so `received` counts every message that was injected.
+    fn worker_with_inject(batch: &[u8]) -> (io::Result<()>, u64) {
         let n = 4;
         let map: Vec<u8> = (0..n).map(|id| (id % 2) as u8).collect();
         let mut sim = build(map, 0, 2, n);
         let (mut orch_side, mut worker_side) = channel_pair();
-        // `encode_batch` frames `[dest][batch]`; the relay strips `dest`.
-        let framed = encode_batch(0, &[inject]);
-        orch_side.send(tag::INJECT, &framed[1..]).unwrap();
+        orch_side.send(tag::INJECT, batch).unwrap();
         orch_side.send(tag::EPOCH_GO, &0u64.to_le_bytes()).unwrap();
         let horizon = SimTime::from_millis(60);
-        let lookahead = SimDuration::from_millis(50);
-        let res = run_worker(&mut sim, horizon, lookahead, &mut worker_side, |_| {
+        let res = run_worker(&mut sim, horizon, ring::LOOKAHEAD, &mut worker_side, |_| {
             Vec::new()
         });
+        sim.run_until(horizon);
         (res, sim.protocol().received)
     }
 
-    #[test]
-    fn worker_rejects_corrupt_inject_frames() {
-        // Worker 0 owns nodes 0 and 2; window 0 ends at 50 ms.
-        let good = || RemoteMsg {
+    /// Worker 0 owns nodes 0 and 2; window 0 ends at 50 ms.
+    fn good() -> RemoteMsg<u32> {
+        RemoteMsg {
             at: SimTime::from_millis(55),
             key: 1u128 << 127 | 7,
             from: NodeId(1),
             to: NodeId(2),
             msg: 0xABCu32,
-        };
-        let (res, with) = worker_with_inject(good());
+        }
+    }
+
+    /// One `INJECT` payload as the worker frames it.
+    fn batch_of(msgs: &[RemoteMsg<u32>]) -> Vec<u8> {
+        let msgs: Vec<_> = msgs.iter().map(|m| (0, m)).collect();
+        framed(&msgs).pop().unwrap().1
+    }
+
+    #[test]
+    fn worker_rejects_corrupt_inject_frames() {
+        let (res, with) = worker_with_inject(&batch_of(&[good()]));
         res.expect("a valid frame passes");
-        let (_, without) = worker_with_inject(RemoteMsg {
+        let (_, without) = worker_with_inject(&batch_of(&[RemoteMsg {
             at: SimTime::from_millis(61), // past the horizon: never delivered
             ..good()
-        });
+        }]));
         assert_eq!(with, without + 1, "the valid message was delivered");
 
         let bad = [
@@ -471,37 +473,71 @@ mod tests {
                 RemoteMsg { key: 7, ..good() },
             ),
         ];
-        for (what, m) in bad {
-            let (res, _) = worker_with_inject(m);
+        let reject = |what: &str, batch: &[u8], reason: &str| {
+            let (res, received) = worker_with_inject(batch);
             let err = res.expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             assert!(err.to_string().contains("epoch 0"), "{what}: {err}");
+            assert!(err.to_string().contains(reason), "{what}: {err}");
+            received
+        };
+        for (what, m) in bad {
+            reject(what, &batch_of(&[m]), "bad inject");
         }
+
+        // Corruptions of the frame around valid messages.
+        let two = batch_of(&[good(), good()]);
+        let mut overcount = two.clone();
+        overcount[..4].copy_from_slice(&1000u32.to_le_bytes());
+        let received = reject("count beyond the bytes left", &overcount, "count 1000");
+        assert_eq!(received, without, "nothing of the frame was injected");
+        let mut trailing = two.clone();
+        trailing.push(0);
+        reject(
+            "a byte after the last message",
+            &trailing,
+            "1 trailing byte",
+        );
+        reject(
+            "the last message cut short",
+            &two[..two.len() - 1],
+            "truncated",
+        );
     }
 
     #[test]
-    fn encode_batch_matches_vec_encoding() {
-        let batch = vec![
-            RemoteMsg {
-                at: SimTime::from_micros(123),
-                key: 456u128,
-                from: NodeId(1),
-                to: NodeId(2),
-                msg: 9u32,
-            },
-            RemoteMsg {
-                at: SimTime::from_micros(999),
-                key: 1u128 << 100,
-                from: NodeId(3),
-                to: NodeId(4),
-                msg: 0u32,
-            },
-        ];
-        let framed = encode_batch(2, &batch);
-        assert_eq!(framed[0], 2);
-        assert_eq!(framed[1..], encode_to_vec(&batch)[..]);
-        let back: Vec<RemoteMsg<u32>> = decode_exact(&framed[1..]).unwrap();
+    fn worker_frames_match_vec_encoding() {
+        let msg = |at: u64, key: u128, from: u32, to: u32, msg: u32| RemoteMsg {
+            at: SimTime::from_micros(at),
+            key,
+            from: NodeId(from),
+            to: NodeId(to),
+            msg,
+        };
+        let to2 = vec![msg(123, 456, 1, 2, 9), msg(999, 1 << 100, 3, 4, 0)];
+        let to0 = vec![msg(77, 5, 6, 7, 8)];
+        let sent = framed(&[(2, &to2[0]), (0, &to0[0]), (2, &to2[1])]);
+        // Ascending destinations; each batch encodes as its Vec, in push
+        // order; shard 1 had nothing, so no frame goes to it.
+        assert_eq!(sent, [(0, encode_to_vec(&to0)), (2, encode_to_vec(&to2))]);
+        let back: Vec<RemoteMsg<u32>> = decode_exact(&sent[1].1).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].key, 1u128 << 100);
+
+        // The next epoch reuses the buffers from a clean slate.
+        let mut batches = Batches::default();
+        batches.push(2, &to2[0]);
+        batches.push(2, &to2[1]);
+        let (mut tx, mut rx) = channel_pair();
+        batches.send(&mut tx).unwrap();
+        rx.recv().unwrap();
+        batches.push(2, &to0[0]);
+        batches.send(&mut tx).unwrap();
+        let mut expect = vec![2];
+        expect.extend(encode_to_vec(&to0));
+        assert_eq!(rx.recv().unwrap(), (tag::MSGS, expect));
+        batches.send(&mut tx).unwrap();
+        drop(tx);
+        assert!(rx.recv().is_err(), "an empty epoch sends no frame");
     }
 }

@@ -14,6 +14,9 @@ use std::io::{self, Read, Write};
 /// gigabyte is a corrupt length prefix, not data.
 pub const MAX_FRAME: usize = 1 << 30;
 
+/// The most [`read_frame_into`] reserves before any payload byte arrives.
+const RESERVE_CAP: usize = 64 << 10;
+
 /// Writes one frame. Does not flush — callers batch frames and flush at
 /// epoch boundaries.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<()> {
@@ -32,6 +35,19 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<(
 /// A clean EOF before the length prefix — the peer exited — surfaces as
 /// [`io::ErrorKind::UnexpectedEof`]; callers treat that as a dead worker.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
+    let mut payload = Vec::new();
+    let tag = read_frame_into(r, &mut payload)?;
+    Ok((tag, payload))
+}
+
+/// Reads one frame's payload into `buf` (replacing its contents) and
+/// returns the tag; errors as [`read_frame`].
+///
+/// `buf` keeps its capacity, so a caller that reuses it reads in steady
+/// state without allocating. It grows only as payload bytes arrive: a
+/// length prefix that promises more than the stream holds costs what was
+/// actually sent, not the promised length.
+pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<u8> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -43,9 +59,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
     }
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
-    let mut payload = vec![0u8; len - 1];
-    r.read_exact(&mut payload)?;
-    Ok((tag[0], payload))
+    buf.clear();
+    let want = len - 1;
+    // Room for a typical frame in one allocation; a longer one grows as
+    // its bytes arrive.
+    buf.reserve(want.min(RESERVE_CAP));
+    let got = r.take(want as u64).read_to_end(buf)?;
+    if got != want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated: {got} of {want} payload bytes"),
+        ));
+    }
+    Ok(tag[0])
 }
 
 #[cfg(test)]
@@ -93,6 +119,36 @@ mod tests {
         assert_eq!(
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn frames_read_into_one_reused_buffer() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 7, &[0xAB; 300]).unwrap();
+        write_frame(&mut wire, 9, b"hi").unwrap();
+        let mut r = &wire[..];
+        let mut buf = Vec::new();
+        assert_eq!(read_frame_into(&mut r, &mut buf).unwrap(), 7);
+        assert_eq!(buf, [0xAB; 300]);
+        let cap = buf.capacity();
+        assert_eq!(read_frame_into(&mut r, &mut buf).unwrap(), 9);
+        assert_eq!(buf, b"hi", "the previous payload is replaced");
+        assert_eq!(buf.capacity(), cap, "the capacity is kept");
+    }
+
+    #[test]
+    fn a_false_length_costs_only_the_bytes_sent() {
+        // The prefix claims ~1 GiB; six payload bytes follow.
+        let mut wire = ((MAX_FRAME - 1) as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[1, b'a', b'b', b'c', b'd', b'e', b'f']);
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut &wire[..], &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            buf.capacity() < 1 << 20,
+            "capacity {} for 6 bytes read",
+            buf.capacity()
         );
     }
 }

@@ -12,7 +12,7 @@
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::sync::mpsc;
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, read_frame_into, write_frame};
 
 /// A bidirectional, ordered frame transport.
 pub trait FrameLink {
@@ -23,6 +23,17 @@ pub trait FrameLink {
     /// Blocks for the next frame. A dead peer yields
     /// [`io::ErrorKind::UnexpectedEof`].
     fn recv(&mut self) -> io::Result<(u8, Vec<u8>)>;
+    /// Blocks for the next frame, puts its payload in `buf` (replacing
+    /// its contents) and returns its tag. Errors as [`FrameLink::recv`].
+    ///
+    /// The default takes `recv`'s `Vec` as the new `buf`, which is free
+    /// when the transport already hands over an owned buffer. A byte
+    /// stream overrides it to read into `buf`'s kept capacity.
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<u8> {
+        let (tag, payload) = self.recv()?;
+        *buf = payload;
+        Ok(tag)
+    }
 }
 
 impl<T: FrameLink + ?Sized> FrameLink for &mut T {
@@ -34,6 +45,9 @@ impl<T: FrameLink + ?Sized> FrameLink for &mut T {
     }
     fn recv(&mut self) -> io::Result<(u8, Vec<u8>)> {
         (**self).recv()
+    }
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<u8> {
+        (**self).recv_into(buf)
     }
 }
 
@@ -66,6 +80,9 @@ impl<R: Read, W: Write> FrameLink for PipeLink<R, W> {
     }
     fn recv(&mut self) -> io::Result<(u8, Vec<u8>)> {
         read_frame(&mut self.r)
+    }
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<u8> {
+        read_frame_into(&mut self.r, buf)
     }
 }
 
@@ -116,7 +133,9 @@ mod tests {
         }
         let mut l = PipeLink::new(&wire[..], io::sink());
         assert_eq!(l.recv().unwrap(), (3, b"abc".to_vec()));
-        assert_eq!(l.recv().unwrap(), (4, Vec::new()));
+        let mut buf = b"stale".to_vec();
+        assert_eq!(l.recv_into(&mut buf).unwrap(), 4);
+        assert!(buf.is_empty());
         assert_eq!(
             l.recv().unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof,
@@ -130,7 +149,9 @@ mod tests {
         a.send(1, b"ping").unwrap();
         assert_eq!(b.recv().unwrap(), (1, b"ping".to_vec()));
         b.send(2, b"pong").unwrap();
-        assert_eq!(a.recv().unwrap(), (2, b"pong".to_vec()));
+        let mut buf = Vec::new();
+        assert_eq!(a.recv_into(&mut buf).unwrap(), 2);
+        assert_eq!(buf, b"pong");
         drop(b);
         assert_eq!(a.recv().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
