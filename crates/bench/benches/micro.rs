@@ -1,7 +1,8 @@
 //! Microbenchmarks for the hot paths of the substrates: the event
-//! calendar, Chord routing, consistent hashing, index-table selection and
-//! the buffer-map bit operations. Plain timing mains (no external bench
-//! framework); run with `cargo bench -p dco-bench --bench micro`.
+//! calendar, Chord routing and ring repair, consistent hashing,
+//! index-table selection and the buffer-map bit operations. Plain timing
+//! mains (no external bench framework); run with
+//! `cargo bench -p dco-bench --bench micro`.
 
 use std::hint::black_box;
 
@@ -9,7 +10,7 @@ use dco_bench::timing::{bench, header};
 use dco_core::buffer::BufferMap;
 use dco_core::chunk::ChunkSeq;
 use dco_core::index::{ChunkIndex, IndexTable, SelectPolicy};
-use dco_dht::chord::{ChordConfig, ChordNet, RouteDecision, RouteStep};
+use dco_dht::chord::{ChordConfig, ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep};
 use dco_dht::hash::{hash_name, hash_node};
 use dco_dht::id::{ChordId, Peer};
 use dco_metrics::{RetainedObserver, StreamObserver};
@@ -96,6 +97,36 @@ fn bench_chord_routing() {
             }
         }
         hops
+    });
+}
+
+/// One stabilize reply's merge on a converged 512-node ring: node `a`
+/// takes its successor's 32-entry successor list into its successor list
+/// and finger table (the table is already exact, so every iteration does
+/// the same work).
+fn bench_pred_reply_merge() {
+    let cfg = ChordConfig {
+        successor_list_len: 32,
+        ..ChordConfig::default()
+    };
+    let mut ring: Vec<Peer> = (0..512)
+        .map(|i| Peer::new(hash_node(NodeId(i)), NodeId(i)))
+        .collect();
+    let mut net = ChordNet::build_static(&ring, cfg);
+    ring.sort_by_key(|p| p.id);
+    let (a, succ) = (ring[0], ring[1]);
+    let list: Vec<Peer> = ring[2..34].to_vec();
+    let mut out = Outbox::new();
+    bench("chord/pred_reply_merge_32", 2000, || {
+        let reply = ChordMsg::PredReply {
+            pred: Some(a),
+            succs: list.clone(),
+            dead: Vec::new(),
+        };
+        net.handle(a.node, succ.node, reply, &mut out);
+        let sent = out.sends.len();
+        out.sends.clear();
+        sent
     });
 }
 
@@ -213,6 +244,7 @@ fn main() {
     bench_event_queue();
     bench_hashing();
     bench_chord_routing();
+    bench_pred_reply_merge();
     bench_index_table();
     bench_buffer_map();
     bench_observer_record();

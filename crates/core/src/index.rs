@@ -20,6 +20,14 @@ use dco_sim::rng::SimRng;
 
 use crate::chunk::ChunkSeq;
 
+/// The index's hash maps use std's SipHash with fixed keys instead of a
+/// per-process random seed: a map's tombstones and growth timing depend on
+/// its hashes, so with random keys the same run allocated different bytes
+/// from one process to the next. Nothing iterates these maps, so the
+/// hasher moves no decision.
+type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+type Map<K, V> = std::collections::HashMap<K, V, FixedState>;
+
 /// One row of a coordinator's index table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkIndex {
@@ -93,7 +101,7 @@ const MAX_DELETED: usize = 64;
 #[derive(Clone, Debug)]
 struct KeyAux {
     /// Holder → virtual position. Maintained unconditionally.
-    pos: std::collections::HashMap<u32, u32>,
+    pos: Map<u32, u32>,
     /// Virtual positions removed since the last rebuild, ascending.
     deleted: Vec<u32>,
     /// Virtual position for the next registration.
@@ -117,7 +125,7 @@ struct KeyAux {
 impl Default for KeyAux {
     fn default() -> Self {
         KeyAux {
-            pos: std::collections::HashMap::new(),
+            pos: Map::default(),
             deleted: Vec::new(),
             virt_len: 0,
             floor: None,
@@ -260,10 +268,10 @@ impl KeyAux {
 pub struct IndexTable {
     store: KeyStore<ChunkIndex>,
     /// Round-robin cursor per chunk key.
-    cursors: std::collections::HashMap<u64, usize>,
+    cursors: Map<u64, usize>,
     /// Selection/registration fast-path state per chunk key. Dropped (and
     /// lazily rebuilt) on the rare mutations that shift positions.
-    aux: std::collections::HashMap<u64, KeyAux>,
+    aux: Map<u64, KeyAux>,
 }
 
 impl Default for IndexTable {
@@ -277,8 +285,8 @@ impl IndexTable {
     pub fn new() -> Self {
         IndexTable {
             store: KeyStore::new(),
-            cursors: std::collections::HashMap::new(),
-            aux: std::collections::HashMap::new(),
+            cursors: Map::default(),
+            aux: Map::default(),
         }
     }
 

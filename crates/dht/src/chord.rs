@@ -463,7 +463,8 @@ impl Books {
             return;
         }
         self.succs.offer(owner, st.me.id, p);
-        self.fingers.offer(owner, st.me.id, p);
+        self.fingers
+            .offer_all(owner, st.me.id, core::slice::from_ref(&p));
     }
 
     /// Forgets a dead (or departed) node everywhere, tombstones it, and
@@ -966,7 +967,7 @@ impl ChordNet {
         node: NodeId,
         from: NodeId,
         pred: Option<Peer>,
-        succs: Vec<Peer>,
+        mut succs: Vec<Peer>,
         dead: Vec<(NodeId, u8)>,
         out: &mut Outbox,
     ) {
@@ -999,13 +1000,16 @@ impl ChordNet {
                 }
             }
         }
-        // Merge the successor's list for fault tolerance (through learn(),
-        // so suspected-dead entries in the gossip are ignored).
-        for p in succs {
-            if p.node != node {
-                books.learn(st, owner, p);
-            }
+        // Merge the successor's list for fault tolerance, by learn()'s
+        // rules: never ourselves, never a suspected-dead entry of the
+        // gossip. The successor list takes the peers in the order sent (its
+        // dedup and truncation depend on it); the finger table takes the
+        // same list as one batch, which leaves the same table.
+        succs.retain(|p| p.node != node && !books.suspected.contains(owner, p.node.0));
+        for &p in &succs {
+            books.succs.offer(owner, me.id, p);
         }
+        books.fingers.offer_all(owner, me.id, &succs);
         // Tell the (possibly new) working successor about us.
         if let Some(s) = books.succs.first(owner) {
             out.send(node, s.node, ChordMsg::Notify { peer: me }, "chord.notify");

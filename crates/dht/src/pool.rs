@@ -14,11 +14,22 @@
 //! * [`FingerPool`] — 64 `Peer` slots per owner with a one-word presence
 //!   bitmask, identical semantics to `FingerTable`.
 //!
-//! Both are deterministic by construction (contents depend only on the
-//! operation sequence), and both are property-tested against the retained
-//! reference models in `tests/proptest_chord.rs` — the flat layout must
-//! not change a single decision, because the churn trace digests pinned in
-//! `tests/determinism.rs` are gated bit-identical across the conversion.
+//! A stabilize reply merges the replier's whole successor list into the
+//! finger table, so [`FingerPool::offer_all`] takes the list as one batch.
+//! It rests on two facts. With `d = me.distance_to(p.id)`, peer `p` lies
+//! in finger `k`'s range `[start(k), me)` exactly when `d >= 2^k`. And
+//! after offering a batch one peer at a time, finger `k` holds either the
+//! earliest peer of least `d` among those with `d >= 2^k`, or its previous
+//! entry if that entry beats this peer under `FingerTable::offer`'s test
+//! (an entry out of range, put there by `set`, always loses). So one pass
+//! over the batch and one walk over the 64 fingers leave the same table
+//! as offering the peers one by one, each of which checks all 64 fingers.
+//!
+//! Both pools are deterministic by construction (contents depend only on
+//! the operation sequence), and both are property-tested against the
+//! retained reference models in `tests/proptest_pool.rs` — the flat layout
+//! must not change a single decision, because the churn trace digests
+//! pinned in `tests/determinism.rs` are gated bit-identical.
 
 use dco_sim::node::NodeId;
 
@@ -208,26 +219,55 @@ impl FingerPool {
         self.masks[owner].count_ones() as usize
     }
 
-    /// Offers a peer to `owner` (ring position `me`) opportunistically: it
-    /// becomes finger `k` whenever it lies in `[start(k), me)` and is
-    /// closer to `start(k)` than the current entry.
-    pub fn offer(&mut self, owner: usize, me: ChordId, p: Peer) {
-        if p.id == me {
-            return;
-        }
-        for k in 0..ID_BITS {
-            let start = me.finger_start(k);
-            if !p.id.in_closed_open(start, me) {
-                continue;
+    /// Offers a batch of peers to `owner` (ring position `me`) and leaves
+    /// exactly the table that offering them one by one, in slice order,
+    /// leaves: a peer becomes finger `k` whenever it lies in
+    /// `[start(k), me)` and is closer to `start(k)` than the current entry.
+    /// A single offer is a batch of one (`slice::from_ref`).
+    ///
+    /// With `d = me.distance_to(p.id)`, `p` lies in `[start(k), me)`
+    /// exactly when `d >= 2^k`, so sequential offers leave finger `k`
+    /// holding either the earliest peer of least `d` among those with
+    /// `d >= 2^k` or the current entry, whichever wins the test
+    /// `start.distance_to(p) < start.distance_to(cur)` (ties keep the
+    /// current entry; one that is out of range always loses). Grouping the
+    /// peers by `floor(log2 d)` finds that candidate for every `k` at once:
+    /// it is the best peer of the lowest non-empty group at or above `k`,
+    /// because the groups split the distances into ascending ranges. One
+    /// pass over the batch and one walk over the 64 fingers, where offering
+    /// one by one checks all 64 fingers per peer.
+    pub fn offer_all(&mut self, owner: usize, me: ChordId, batch: &[Peer]) {
+        // best[g]: index into `batch` of the earliest peer of least `d`
+        // with floor(log2 d) == g; `groups` marks the non-empty ones.
+        let mut best = [0u32; STRIDE];
+        let mut groups = 0u64;
+        for (i, p) in batch.iter().enumerate() {
+            let d = me.distance_to(p.id);
+            if d == 0 {
+                continue; // the owner itself lies in no finger's range
             }
-            match self.get(owner, k) {
-                None => self.set(owner, k, p),
-                Some(cur) => {
-                    if start.distance_to(p.id) < start.distance_to(cur.id) {
-                        self.set(owner, k, p);
-                    }
+            let g = 63 - d.leading_zeros();
+            if groups & (1 << g) == 0 || d < me.distance_to(batch[best[g as usize] as usize].id) {
+                best[g as usize] = i as u32;
+                groups |= 1 << g;
+            }
+        }
+        let mut k = 0;
+        while k < ID_BITS && groups >> k != 0 {
+            let g = k + (groups >> k).trailing_zeros();
+            let p = batch[best[g as usize] as usize];
+            // `p` is the candidate for every finger from `k` up to `g`.
+            for j in k..=g {
+                let start = me.finger_start(j);
+                let wins = match self.get(owner, j) {
+                    None => true,
+                    Some(cur) => start.distance_to(p.id) < start.distance_to(cur.id),
+                };
+                if wins {
+                    self.set(owner, j, p);
                 }
             }
+            k = g + 1;
         }
     }
 
@@ -361,17 +401,17 @@ mod tests {
     fn finger_pool_offer_matches_reference_semantics() {
         let mut t = FingerPool::new(1);
         let me = ChordId(0);
-        t.offer(0, me, peer(100, 1));
+        t.offer_all(0, me, &[peer(100, 1)]);
         for k in 0..=6 {
             assert_eq!(t.get(0, k), Some(peer(100, 1)), "finger {k}");
         }
         assert_eq!(t.get(0, 7), None);
-        t.offer(0, me, peer(50, 2)); // closer to the small starts
+        t.offer_all(0, me, &[peer(50, 2)]); // closer to the small starts
         for k in 0..=5 {
             assert_eq!(t.get(0, k).unwrap().node, NodeId(2), "finger {k}");
         }
         assert_eq!(t.get(0, 6).unwrap().node, NodeId(1), "start 64: 100 wins");
-        t.offer(0, me, peer(0, 9)); // self id ignored
+        t.offer_all(0, me, &[peer(0, 9)]); // self id ignored
         assert_eq!(t.populated(0), 7);
     }
 
@@ -397,8 +437,8 @@ mod tests {
     fn finger_pool_remove_node_and_distinct() {
         let mut t = FingerPool::new(1);
         let me = ChordId(0);
-        t.offer(0, me, peer(100, 1));
-        t.offer(0, me, peer(1 << 20, 2));
+        t.offer_all(0, me, &[peer(100, 1)]);
+        t.offer_all(0, me, &[peer(1 << 20, 2)]);
         assert_eq!(t.distinct_peers(0).len(), 2);
         let cleared = t.remove_node(0, NodeId(1));
         assert!(cleared >= 7);

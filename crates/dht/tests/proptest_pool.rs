@@ -113,7 +113,7 @@ fn finger_pool_matches_retained_table() {
                 }
                 _ => {
                     let p = gen_peer(g);
-                    pool.offer(o, me_ids[o], p);
+                    pool.offer_all(o, me_ids[o], &[p]);
                     refs[o].offer(p);
                 }
             }
@@ -133,6 +133,95 @@ fn finger_pool_matches_retained_table() {
         }
         Ok(())
     });
+}
+
+/// A batch peer at a chosen distance from `me`: arbitrary, exactly `2^k`
+/// or `2^k - 1` away (finger `k`'s range edge; `k = 0` gives `me` itself),
+/// `me` itself, or a repeat of an earlier peer's id — on the same node or a
+/// different one.
+fn gen_batch_peer(g: &mut Gen, me: ChordId, earlier: &[Peer]) -> Peer {
+    let node = NodeId(g.usize_in(0, 24) as u32);
+    let k = g.usize_in(0, 64) as u32;
+    let id = match g.usize_in(0, 6) {
+        0 => ChordId(me.0.wrapping_add(1 << k)),
+        1 => ChordId(me.0.wrapping_add((1 << k) - 1)),
+        2 => me,
+        3 if !earlier.is_empty() => {
+            let q = *g.pick(earlier);
+            if g.weighted_bool(0.5) {
+                return q;
+            }
+            q.id
+        }
+        _ => ChordId(g.any_u64()),
+    };
+    Peer::new(id, node)
+}
+
+/// `offer_all` leaves exactly the table that offering the batch one peer
+/// at a time (in slice order) to the reference [`FingerTable`] leaves —
+/// every finger and every derived query — starting from tables that hold
+/// earlier offers and fingers `set` out of their range.
+#[test]
+fn finger_pool_offer_all_matches_sequential_offers() {
+    check(
+        "finger_pool_offer_all_matches_sequential_offers",
+        256,
+        |g| {
+            let owners = g.usize_in(1, 4);
+            let me_ids: Vec<ChordId> = (0..owners).map(|_| ChordId(g.any_u64())).collect();
+            let mut pool = FingerPool::new(owners);
+            let mut refs: Vec<FingerTable> =
+                me_ids.iter().map(|&me| FingerTable::new(me)).collect();
+            for _ in 0..g.usize_in(1, 12) {
+                let o = g.usize_in(0, owners);
+                let me = me_ids[o];
+                // Current fingers: some set at a distance below 2^k, out of
+                // their own range (fix-fingers can store such a wrapped
+                // successor), some set anywhere.
+                for _ in 0..g.usize_in(0, 6) {
+                    let k = g.usize_in(0, 64) as u32;
+                    let d = if g.weighted_bool(0.5) {
+                        g.u64_in(0, 1 << k)
+                    } else {
+                        g.any_u64()
+                    };
+                    let p = Peer::new(
+                        ChordId(me.0.wrapping_add(d)),
+                        NodeId(g.usize_in(0, 24) as u32),
+                    );
+                    pool.set(o, k, p);
+                    refs[o].set(k, p);
+                }
+                let mut batch: Vec<Peer> = Vec::new();
+                for _ in 0..g.usize_in(0, 40) {
+                    let p = gen_batch_peer(g, me, &batch);
+                    batch.push(p);
+                }
+                pool.offer_all(o, me, &batch);
+                for &p in &batch {
+                    refs[o].offer(p);
+                }
+                for (o, (r, &me)) in refs.iter().zip(me_ids.iter()).enumerate() {
+                    for k in 0..64u32 {
+                        tk_assert_eq!(pool.get(o, k), r.get(k), "finger {k} of owner {o}");
+                    }
+                    let mut keys: Vec<ChordId> = batch.iter().map(|p| p.id).collect();
+                    keys.push(ChordId(g.any_u64()));
+                    keys.push(me);
+                    for key in keys {
+                        tk_assert_eq!(
+                            pool.closest_preceding(o, me, key),
+                            r.closest_preceding(key),
+                            "closest_preceding({key:?}) of owner {o}"
+                        );
+                    }
+                    tk_assert_eq!(pool.distinct_peers(o), r.distinct_peers());
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
