@@ -23,12 +23,6 @@ pub enum MsgClass {
 }
 
 impl MsgClass {
-    /// True for [`MsgClass::Control`].
-    #[inline]
-    pub fn is_control(self) -> bool {
-        matches!(self, MsgClass::Control)
-    }
-
     /// True for [`MsgClass::Data`].
     #[inline]
     pub fn is_data(self) -> bool {
@@ -94,10 +88,8 @@ mod tests {
 
     #[test]
     fn class_predicates() {
-        assert!(MsgClass::Control.is_control());
         assert!(!MsgClass::Control.is_data());
         assert!(MsgClass::Data.is_data());
-        assert!(!MsgClass::Data.is_control());
     }
 
     #[test]

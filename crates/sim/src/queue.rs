@@ -5,17 +5,18 @@
 //! tick timers), so the calendar splits the timeline into fixed-width
 //! buckets of `2^BUCKET_SHIFT` µs:
 //!
-//! * **`cur`** — a small binary heap holding the *active region*: every
-//!   pending event whose bucket is at or before the cursor. Pops come from
-//!   here, so the heap the hot path touches holds one bucket's worth of
-//!   events instead of the whole future.
+//! * **`run`** — the *active region*: every pending event whose bucket is
+//!   at or before the cursor, as one vector sorted latest-first, so a pop
+//!   is a `Vec::pop` — no sift. Events pushed into the active bucket
+//!   after its run was sorted go to **`late`**, a side heap that holds only
+//!   those; a pop takes the earlier of the two fronts.
 //! * **ring** — the near future: a power-of-two ring of unsorted buckets
 //!   covering the `RING_BUCKETS - 1` buckets after the cursor, with a
 //!   word-level occupancy bitmap so advancing the cursor skips empty
 //!   buckets without scanning them. Pushing here is an O(1) append — no
 //!   comparisons, no sift.
 //! * **`overflow`** — the far future (beyond the ring window): a binary
-//!   heap, drained bucket-by-bucket into `cur` as the cursor reaches it.
+//!   heap, drained bucket-by-bucket into `run` as the cursor reaches it.
 //!
 //! **Memory.** The ring's buckets live in one arena of fixed-size blocks
 //! (at most `BLOCK` entries each) that all slots share: a slot is the head
@@ -28,15 +29,25 @@
 //! period, each landing on a different slot), and a buffer per slot would
 //! keep every slot's largest burst for the rest of the run.
 //!
-//! Total pop order is exactly `(time, key)`: everything in `cur` fires
-//! strictly before anything in the ring or overflow (later buckets mean
-//! strictly later times), and `cur` itself is a min-heap over unique keys.
-//! In FIFO mode the key is a monotonically increasing sequence number,
-//! which makes the queue **stable** — events scheduled earlier for the
-//! same instant fire first — and whole runs deterministic for a fixed
-//! seed. Because keys are unique, how a bucket is laid out in the heap
-//! cannot change the pop order; the golden trace digests in
-//! `tests/determinism.rs` pin that.
+//! Total pop order is exactly `(time, key)`: everything in the active
+//! region fires strictly before anything in the ring or overflow (later
+//! buckets mean strictly later times), and within it `run` and `late` are
+//! each ordered by `(time, key)` over unique keys. In FIFO mode the key is
+//! a monotonically increasing sequence number, which makes the queue
+//! **stable** — events scheduled earlier for the same instant fire first
+//! — and whole runs deterministic for a fixed seed.
+//!
+//! **The drain.** Reaching a bucket walks its block chain newest block
+//! first and appends each block's entries reversed, which lays the bucket
+//! out latest-first whenever it was pushed in `(time, key)` order — the
+//! common case in FIFO mode, where an instant's events are pushed in
+//! sequence order and the bucket's instants mostly in time order. One
+//! `sort_unstable` then finishes the run: on presorted input its run
+//! detection makes that a single O(n) pass, and on any other input
+//! (canonical keys, churn's scattered instants, overflow entries) it is a
+//! full sort. Because keys are unique, the sort's instability and the
+//! bucket's layout cannot change the pop order; the golden trace digests
+//! in `tests/determinism.rs` pin that.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -44,7 +55,7 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// log2 of the bucket width in microseconds (8.192 ms buckets): wide enough
-/// that a bucket amortizes the heapify, narrow enough that the active heap
+/// that a bucket amortizes its sort, narrow enough that the active run
 /// stays small.
 const BUCKET_SHIFT: u32 = 13;
 
@@ -96,8 +107,9 @@ impl<E> PartialOrd for Scheduled<E> {
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key) pops
-        // first.
+        // Inverted, so the earliest (time, key) is the greatest: it pops
+        // first from a BinaryHeap (a max-heap) and sorts last in an
+        // ascending sort, where `Vec::pop` takes it.
         other
             .at
             .cmp(&self.at)
@@ -121,8 +133,15 @@ fn bucket_of(at: SimTime) -> u64 {
 
 /// A stable min-priority queue of future events.
 pub struct EventQueue<E> {
-    /// Active region: every pending event with `bucket <= cursor`.
-    cur: BinaryHeap<Scheduled<E>>,
+    /// Active region: every pending event with `bucket <= cursor` that is
+    /// not in `late`, latest first once `sorted`, so `run.pop()` is the
+    /// earliest.
+    run: Vec<Scheduled<E>>,
+    /// Whether `run` is in order. Pushes join `run` while it is unsorted
+    /// or empty; the next pop or peek sorts it.
+    sorted: bool,
+    /// Active-region events pushed after `run` was sorted.
+    late: BinaryHeap<Scheduled<E>>,
     /// Near future: bucket `b` with `cursor < b < cursor + RING_BUCKETS`
     /// lives (unsorted) in the block chain headed at slot
     /// `b % RING_BUCKETS`; `NIL` marks an empty slot. The head block is
@@ -157,7 +176,9 @@ impl<E> EventQueue<E> {
     /// An empty calendar.
     pub fn new() -> Self {
         EventQueue {
-            cur: BinaryHeap::new(),
+            run: Vec::new(),
+            sorted: true,
+            late: BinaryHeap::new(),
             heads: [NIL; RING_BUCKETS],
             blocks: Vec::with_capacity(RING_BUCKETS),
             free: NIL,
@@ -170,10 +191,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty calendar with pre-allocated active-heap capacity.
+    /// An empty calendar with pre-allocated active-run capacity.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.cur.reserve(cap);
+        q.run.reserve(cap);
         q
     }
 
@@ -188,10 +209,10 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `at` with an explicit 128-bit tie-break key.
     ///
     /// Equal-time events fire in ascending key order. Keys at one instant
-    /// **must be distinct** — the underlying binary heap is not stable, so
-    /// two entries with equal `(at, key)` pop in unspecified order. The
-    /// plain [`EventQueue::push`] is exactly `push_keyed` with the monotone
-    /// insertion counter as the key.
+    /// **must be distinct** — neither the run's sort nor the side heap is
+    /// stable, so two entries with equal `(at, key)` pop in unspecified
+    /// order. The plain [`EventQueue::push`] is exactly `push_keyed` with
+    /// the monotone insertion counter as the key.
     pub fn push_keyed(&mut self, at: SimTime, key: u128, payload: E) {
         self.next_seq += 1;
         self.len += 1;
@@ -203,7 +224,12 @@ impl<E> EventQueue<E> {
             payload,
         };
         if b <= self.cursor {
-            self.cur.push(entry);
+            if self.sorted && !self.run.is_empty() {
+                self.late.push(entry);
+            } else {
+                self.run.push(entry);
+                self.sorted = false;
+            }
         } else if b - self.cursor < RING_BUCKETS as u64 {
             let slot = (b % RING_BUCKETS as u64) as usize;
             self.ring_push(slot, entry);
@@ -253,30 +279,30 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves every event of ring slot `slot` into the (empty) active heap
-    /// and returns the slot's blocks to the free list. The entries are
-    /// appended to `cur`'s own buffer and heapified once, in O(n).
+    /// Moves every event of ring slot `slot` into the (empty) active run
+    /// and returns the slot's blocks to the free list. Newest block first,
+    /// each reversed: the run comes out latest-first when the bucket was
+    /// pushed in order, and `settle` sorts it either way.
     fn drain_slot(&mut self, slot: usize) {
-        debug_assert!(self.cur.is_empty());
+        debug_assert!(self.run.is_empty() && self.late.is_empty());
         self.occupied[slot / 64] &= !(1 << (slot % 64));
-        let mut active = std::mem::take(&mut self.cur).into_vec();
         let mut i = std::mem::replace(&mut self.heads[slot], NIL);
         while i != NIL {
             let block = &mut self.blocks[i as usize];
             self.ring_len -= block.entries.len();
-            active.append(&mut block.entries);
+            self.run.extend(block.entries.drain(..).rev());
             let next = block.next;
             block.next = self.free;
             self.free = i;
             i = next;
         }
-        self.cur = BinaryHeap::from(active);
     }
 
-    /// Moves the earliest pending bucket into `cur` until `cur` is
-    /// non-empty (or the queue is drained).
+    /// Moves the earliest pending bucket into `run` until the active
+    /// region is non-empty (or the queue is drained), then sorts `run` if
+    /// it is not in order.
     fn settle(&mut self) {
-        while self.cur.is_empty() {
+        while self.run.is_empty() && self.late.is_empty() {
             let b_ring = if self.ring_len > 0 {
                 self.next_occupied_bucket()
             } else {
@@ -298,10 +324,26 @@ impl<E> EventQueue<E> {
                         break;
                     }
                     let s = self.overflow.pop().expect("peeked");
-                    self.cur.push(s);
+                    self.run.push(s);
                 }
             }
             self.cursor = b;
+            self.sorted = false;
+        }
+        if !self.sorted {
+            self.run.sort_unstable();
+            self.sorted = true;
+        }
+    }
+
+    /// The earlier of the run's and the side heap's fronts: `true` for the
+    /// side heap. Keys are unique, so the two never tie.
+    #[inline]
+    fn late_first(&self) -> bool {
+        match (self.run.last(), self.late.peek()) {
+            (Some(r), Some(l)) => l > r,
+            (None, _) => true,
+            (Some(_), None) => false,
         }
     }
 
@@ -354,7 +396,11 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
-        let s = self.cur.pop()?;
+        let s = if self.late_first() {
+            self.late.pop()
+        } else {
+            self.run.pop()
+        }?;
         self.len -= 1;
         Some((s.at, s.payload))
     }
@@ -366,7 +412,11 @@ impl<E> EventQueue<E> {
     /// event order is unchanged).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.cur.peek().map(|s| s.at)
+        if self.late_first() {
+            self.late.peek().map(|s| s.at)
+        } else {
+            self.run.last().map(|s| s.at)
+        }
     }
 
     /// Number of pending events.
@@ -436,7 +486,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "late");
     }
 
-    /// Spans all three tiers: active heap, ring window, overflow.
+    /// Spans all three tiers: active run, ring window, overflow.
     #[test]
     fn far_future_spills_and_refills() {
         let mut q = EventQueue::new();
@@ -446,7 +496,7 @@ mod tests {
         q.push(SimTime::from_micros(7 * window_us), "farther");
         // Inside the window → ring.
         q.push(SimTime::from_micros(window_us / 2), "near");
-        // Active bucket → cur.
+        // Active bucket → run.
         q.push(SimTime::ZERO, "now");
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().unwrap().1, "now");
@@ -468,7 +518,7 @@ mod tests {
         q.push(SimTime::from_secs(10), "later");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
         // Cursor has advanced to the 10 s bucket; a push at 9 s lands in
-        // the active heap and still fires first.
+        // the active region and still fires first.
         q.push(SimTime::from_secs(9), "earlier");
         assert_eq!(q.pop().unwrap().1, "earlier");
         assert_eq!(q.pop().unwrap().1, "later");
@@ -610,5 +660,24 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert_eq!(q.heads[slot], NIL, "drained slot is empty");
+    }
+
+    /// A FIFO bucket pushed in time order over several blocks, with ties
+    /// at each instant, drains already latest-first: the sort that follows
+    /// only confirms the order, it does not move an entry.
+    #[test]
+    fn fifo_drain_lays_the_bucket_out_latest_first() {
+        let bucket_us = 1u64 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        let n = 4 * BLOCK as u64 + 9;
+        for i in 0..n {
+            q.push(SimTime::from_micros(2 * bucket_us + i / 50 * 7), i);
+        }
+        q.drain_slot(2);
+        assert_eq!(q.run.len(), n as usize);
+        assert!(
+            q.run.windows(2).all(|w| w[0] <= w[1]),
+            "drained run is not latest-first"
+        );
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The calendar ([`dco_sim::queue::EventQueue`]) is checked against a
 //! trivially-correct reference model — a flat list popped by minimum
-//! `(time, sequence)` — under event populations that straddle bucket
-//! boundaries, span the ring window, spill into the far-future
-//! overflow heap, and pile hundreds of events into a few buckets (so one
-//! bucket spans several of the ring's arena blocks). Driven by the in-tree `dco-testkit` (deterministic
-//! seeds, `DCO_TESTKIT_REPLAY` to reproduce a failure).
+//! `(time, sequence)`, or `(time, key)` for keyed pushes — under event
+//! populations that straddle bucket boundaries, span the ring window,
+//! spill into the far-future overflow heap, and pile hundreds of events
+//! into a few buckets (so one bucket spans several of the ring's arena
+//! blocks). Driven by the in-tree `dco-testkit` (deterministic seeds,
+//! `DCO_TESTKIT_REPLAY` to reproduce a failure).
 
 use dco_sim::queue::EventQueue;
 use dco_sim::time::SimTime;
@@ -33,9 +34,10 @@ fn gen_time(g: &mut Gen) -> u64 {
     }
 }
 
-/// Reference model: pending `(time_us, seq)` pairs, popped by minimum.
+/// Reference model: pending `(time_us, key, seq)`, popped by minimum
+/// `(time, key)`. A plain push's key is its sequence number.
 struct Model {
-    pending: Vec<(u64, u64)>,
+    pending: Vec<(u64, u128, u64)>,
     next_seq: u64,
 }
 
@@ -48,20 +50,26 @@ impl Model {
     }
 
     fn push(&mut self, t: u64) -> u64 {
+        self.push_keyed(t, u128::from(self.next_seq))
+    }
+
+    fn push_keyed(&mut self, t: u64, key: u128) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.push((t, seq));
+        self.pending.push((t, key, seq));
         seq
     }
 
+    /// The minimum pending `(time, seq)`, removed.
     fn pop(&mut self) -> Option<(u64, u64)> {
         let i = self
             .pending
             .iter()
             .enumerate()
-            .min_by_key(|(_, &p)| p)
+            .min_by_key(|(_, &(t, key, _))| (t, key))
             .map(|(i, _)| i)?;
-        Some(self.pending.swap_remove(i))
+        let (t, _, seq) = self.pending.swap_remove(i);
+        Some((t, seq))
     }
 }
 
@@ -202,6 +210,97 @@ fn bursts_into_few_buckets_pop_the_pending_minimum() {
             while let Some(want) = model.pop() {
                 let (t, seq) = q.pop().expect("final drain");
                 tk_assert_eq!((t.as_micros(), seq), want, "final drain order");
+            }
+            tk_assert_eq!(q.pop(), None, "fully drained");
+            Ok(())
+        },
+    );
+}
+
+/// A keyed push mirrored into the model. The high word comes from a small
+/// pool of random words, so equal high words are common and the low word
+/// decides; the low word is the sequence number times an odd constant (a
+/// bijection), so keys never repeat and run against push order.
+fn push_keyed(q: &mut EventQueue<u64>, model: &mut Model, his: &[u64], g: &mut Gen, t: u64) {
+    let lo = model.next_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let key = u128::from(*g.pick(his)) << 64 | u128::from(lo);
+    let seq = model.push_keyed(t, key);
+    q.push_keyed(SimTime::from_micros(t), key, seq);
+}
+
+/// Pops one event from both and compares `(time, payload)`.
+fn pop_both(q: &mut EventQueue<u64>, model: &mut Model) -> Result<u64, String> {
+    let want = model.pop().expect("model non-empty");
+    let (t, seq) = q.pop().ok_or("queue drained early")?;
+    tk_assert_eq!((t.as_micros(), seq), want, "keyed pop order");
+    Ok(want.0)
+}
+
+/// Keyed pushes (scrambled 128-bit keys, both words significant) pop by
+/// exact `(time, key)` across every place the calendar keeps an event:
+/// a far bucket is first filled through the overflow heap, then — once
+/// the cursor is within the ring window of it — through the ring, so the
+/// two meet in one drain; a near burst of a few instants (heavy ties)
+/// spans several arena blocks; and after part of a bucket's sorted run
+/// has been popped, more events land in that active bucket, some at the
+/// very instant just popped, and must interleave with the rest of the run.
+#[test]
+fn keyed_pushes_pop_by_time_then_key_across_run_side_heap_ring_and_overflow() {
+    check(
+        "keyed_pushes_pop_by_time_then_key_across_run_side_heap_ring_and_overflow",
+        150,
+        |g| {
+            let mut q = EventQueue::new();
+            let mut model = Model::new();
+            let his: Vec<u64> = (0..g.usize_in(1, 4)).map(|_| g.any_u64()).collect();
+            // Far bucket `f` is past the ring window from cursor 0; near
+            // bucket `s` is in the ring and within the window of `f`, so
+            // draining `s` brings `f` into the ring.
+            let f = g.u64_in(512, 2 * 512 - 2);
+            let s = g.u64_in(f - 511, 512);
+            let instants = |g: &mut Gen, b: u64| -> Vec<u64> {
+                (0..g.usize_in(1, 5))
+                    .map(|_| b * BUCKET_US + g.u64_in(0, BUCKET_US))
+                    .collect()
+            };
+            let far = instants(g, f);
+            let near = instants(g, s);
+            for _ in 0..g.usize_in(1, 100) {
+                let t = *g.pick(&far);
+                push_keyed(&mut q, &mut model, &his, g, t);
+            }
+            for _ in 0..g.usize_in(2 * 64 + 1, 500) {
+                let t = *g.pick(&near);
+                push_keyed(&mut q, &mut model, &his, g, t);
+            }
+            // Part of the near bucket: each pop may be followed by pushes
+            // into the active bucket at or after the popped instant, and by
+            // pushes into the far bucket, which now go to the ring.
+            for _ in 0..g.usize_in(1, 2 * 64) {
+                let now = pop_both(&mut q, &mut model)?;
+                if g.weighted_bool(0.3) {
+                    for _ in 0..g.usize_in(1, 4) {
+                        let t = if g.weighted_bool(0.5) {
+                            now
+                        } else {
+                            *g.pick(&near).max(&now)
+                        };
+                        push_keyed(&mut q, &mut model, &his, g, t);
+                    }
+                }
+                for _ in 0..g.usize_in(0, 3) {
+                    let t = *g.pick(&far);
+                    push_keyed(&mut q, &mut model, &his, g, t);
+                }
+            }
+            tk_assert_eq!(q.len(), model.pending.len(), "len tracks model");
+            // The rest, with pushes into whichever bucket is active.
+            while !model.pending.is_empty() {
+                let now = pop_both(&mut q, &mut model)?;
+                if g.weighted_bool(0.1) {
+                    let t = now + g.u64_in(0, BUCKET_US - now % BUCKET_US);
+                    push_keyed(&mut q, &mut model, &his, g, t);
+                }
             }
             tk_assert_eq!(q.pop(), None, "fully drained");
             Ok(())
