@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn defaults_match_section_4() {
         let c = BaselineConfig::paper_default(512, 100);
-        assert_eq!(c.chunk_size.kilobits(), 300);
+        assert_eq!(c.chunk_size.bits(), 300_000);
         assert_eq!(c.chunk_interval, SimDuration::from_secs(1));
         assert_eq!(c.bufmap_every, SimDuration::from_secs(1));
     }

@@ -110,6 +110,20 @@ impl RunParams {
         s.churn = self.churn.clone();
         s
     }
+
+    /// The DCO configuration these parameters describe: the paper's churn
+    /// tuning when churn is on, its static defaults otherwise, with the
+    /// neighbor count overridden. The single-process and sharded runners
+    /// both build DCO from it.
+    pub fn dco_config(&self) -> DcoConfig {
+        let mut cfg = if self.churn.is_some() {
+            DcoConfig::paper_churn(self.n_nodes, self.n_chunks)
+        } else {
+            DcoConfig::paper_default(self.n_nodes, self.n_chunks)
+        };
+        cfg.neighbors = self.neighbors;
+        cfg
+    }
 }
 
 /// Everything a figure needs, extracted from one finished run.
@@ -198,19 +212,6 @@ fn extract<P: Protocol>(
     }
 }
 
-fn install_and_run<P: Protocol>(params: &RunParams, protocol: P) -> (Simulator<P>, Scenario) {
-    let scenario = params.scenario();
-    let mut sim = Simulator::with_capacity(
-        protocol,
-        NetConfig::paper_model(),
-        params.seed,
-        params.n_nodes as usize,
-    );
-    scenario.install(&mut sim);
-    sim.run_until(params.horizon);
-    (sim, scenario)
-}
-
 /// Bit-exactness evidence of one finished run: comparing two [`CellProof`]s
 /// decides whether the runs were identical event-for-event. The sweep
 /// harness records one per cell and the determinism tests compare them
@@ -246,87 +247,53 @@ fn proof_of<P: Protocol>(sim: &Simulator<P>) -> CellProof {
     }
 }
 
+/// Runs `protocol` over the scenario of `params` to the horizon and
+/// extracts the metrics and the proof; `obs` reaches its observer.
+fn run_protocol<P: Protocol>(
+    params: &RunParams,
+    protocol: P,
+    obs: impl Fn(&P) -> &StreamObserver,
+) -> RunStats {
+    let mut sim = Simulator::with_capacity(
+        protocol,
+        NetConfig::paper_model(),
+        params.seed,
+        params.n_nodes as usize,
+    );
+    params.scenario().install(&mut sim);
+    sim.run_until(params.horizon);
+    RunStats {
+        result: extract(
+            &sim,
+            obs(sim.protocol()),
+            params.horizon,
+            params.fill_offset,
+        ),
+        proof: proof_of(&sim),
+    }
+}
+
 /// Runs `method` over `params`, extracting the metrics **and** the
 /// determinism proof from the same simulation.
 pub fn run_with_stats(method: Method, params: &RunParams) -> RunStats {
+    let baseline = || BaselineConfig {
+        neighbors: params.neighbors,
+        ..BaselineConfig::paper_default(params.n_nodes, params.n_chunks)
+    };
     match method {
-        Method::Dco => {
-            let mut cfg = if params.churn.is_some() {
-                DcoConfig::paper_churn(params.n_nodes, params.n_chunks)
-            } else {
-                DcoConfig::paper_default(params.n_nodes, params.n_chunks)
-            };
-            cfg.neighbors = params.neighbors;
-            let (sim, _) = install_and_run(params, DcoProtocol::new(cfg));
-            RunStats {
-                result: extract(
-                    &sim,
-                    &sim.protocol().obs,
-                    params.horizon,
-                    params.fill_offset,
-                ),
-                proof: proof_of(&sim),
-            }
-        }
-        Method::Pull => {
-            let mut cfg = BaselineConfig::paper_default(params.n_nodes, params.n_chunks);
-            cfg.neighbors = params.neighbors;
-            let (sim, _) = install_and_run(params, PullProtocol::new(cfg));
-            RunStats {
-                result: extract(
-                    &sim,
-                    &sim.protocol().obs,
-                    params.horizon,
-                    params.fill_offset,
-                ),
-                proof: proof_of(&sim),
-            }
-        }
-        Method::Push => {
-            let mut cfg = BaselineConfig::paper_default(params.n_nodes, params.n_chunks);
-            cfg.neighbors = params.neighbors;
-            let (sim, _) = install_and_run(params, PushProtocol::new(cfg));
-            RunStats {
-                result: extract(
-                    &sim,
-                    &sim.protocol().obs,
-                    params.horizon,
-                    params.fill_offset,
-                ),
-                proof: proof_of(&sim),
-            }
-        }
+        Method::Dco => run_protocol(params, DcoProtocol::new(params.dco_config()), |p| &p.obs),
+        Method::Pull => run_protocol(params, PullProtocol::new(baseline()), |p| &p.obs),
+        Method::Push => run_protocol(params, PushProtocol::new(baseline()), |p| &p.obs),
         Method::Tree => {
-            let mut cfg = BaselineConfig::paper_default(params.n_nodes, params.n_chunks);
-            cfg.neighbors = params.neighbors;
             let tree = match params.tree_degree {
-                Some(d) => TreeProtocol::new(cfg, d),
-                None => TreeProtocol::with_paper_degree(cfg),
+                Some(d) => TreeProtocol::new(baseline(), d),
+                None => TreeProtocol::with_paper_degree(baseline()),
             };
-            let (sim, _) = install_and_run(params, tree);
-            RunStats {
-                result: extract(
-                    &sim,
-                    &sim.protocol().obs,
-                    params.horizon,
-                    params.fill_offset,
-                ),
-                proof: proof_of(&sim),
-            }
+            run_protocol(params, tree, |p| &p.obs)
         }
         Method::TreeStar => {
-            let mut cfg = BaselineConfig::paper_default(params.n_nodes, params.n_chunks);
-            cfg.neighbors = params.neighbors;
-            let (sim, _) = install_and_run(params, TreeProtocol::with_star_degree(cfg));
-            RunStats {
-                result: extract(
-                    &sim,
-                    &sim.protocol().obs,
-                    params.horizon,
-                    params.fill_offset,
-                ),
-                proof: proof_of(&sim),
-            }
+            let tree = TreeProtocol::with_star_degree(baseline());
+            run_protocol(params, tree, |p| &p.obs)
         }
     }
 }

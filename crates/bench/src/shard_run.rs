@@ -1,5 +1,7 @@
 //! The sharded figures runner: one DCO simulation split across `K`
-//! workers (threads in tests, processes under `dco-perf --shards`).
+//! workers (threads in tests, processes under `dco-perf --shards`; the
+//! perfbench `sharded-dco` workload builds its own workers and folds their
+//! results with [`merge_relay`]).
 //!
 //! Each worker builds the *same* workload — `add_nodes`, then
 //! `Simulator::enable_sharding` with the contiguous ring-arc map, then
@@ -17,19 +19,18 @@
 //!
 //! [`run_single_canonical`] is the `K = 1` reference: the same key-ordered
 //! sharded engine in one process, whose set digest defines the canonical
-//! value every `K` must reproduce.
+//! value every `K` must reproduce. [`check_matches`] is the one comparison
+//! of a folded run against it, used by the tests and by `dco-perf`.
 
 use std::io;
-use std::time::Instant;
 
-use dco_core::proto::{DcoConfig, DcoProtocol};
+use dco_core::proto::DcoProtocol;
 use dco_dht::hash_node;
 use dco_metrics::observer::FigureMetrics;
 use dco_metrics::{ObserverShard, StreamObserver};
 use dco_shard::epoch::{run_orchestrator, run_worker, RelayReport};
 use dco_shard::link::{channel_pair, FrameLink};
 use dco_shard::partition::contiguous_arcs;
-use dco_sim::counters::perf::PerfMeter;
 use dco_sim::counters::CounterSnapshot;
 use dco_sim::engine::Simulator;
 use dco_sim::net::NetConfig;
@@ -59,9 +60,11 @@ pub struct WorkerSummary {
     pub remote_msgs_sent: u64,
     /// Order-independent digest of this worker's owned dispatches.
     pub set_digest: u64,
-    /// Worker wall clock, membership install to horizon.
+    /// Worker wall clock, membership install to horizon. This and the
+    /// three allocation fields are host costs: perfbench's workers measure
+    /// them, [`run_shard_worker`] leaves them zero.
     pub wall_ms: f64,
-    /// Allocations during the run (0 without a counting allocator).
+    /// Allocations during the run.
     pub allocs: u64,
     /// Bytes requested during the run (cumulative turnover).
     pub alloc_bytes: u64,
@@ -110,14 +113,8 @@ impl WireCodec for WorkerSummary {
 /// and the lookahead pinned by the network's constant latency.
 fn build_shard_sim(params: &RunParams, k: u8, me: u8) -> (Simulator<DcoProtocol>, SimDuration) {
     let scenario = params.scenario();
-    let mut cfg = if params.churn.is_some() {
-        DcoConfig::paper_churn(params.n_nodes, params.n_chunks)
-    } else {
-        DcoConfig::paper_default(params.n_nodes, params.n_chunks)
-    };
-    cfg.neighbors = params.neighbors;
     let mut sim = Simulator::with_capacity(
-        DcoProtocol::new(cfg),
+        DcoProtocol::new(params.dco_config()),
         NetConfig::paper_model(),
         params.seed,
         params.n_nodes as usize,
@@ -129,9 +126,9 @@ fn build_shard_sim(params: &RunParams, k: u8, me: u8) -> (Simulator<DcoProtocol>
 }
 
 /// Runs shard `me` of `k` to completion over `link`, replying with a
-/// wire-encoded [`WorkerSummary`] as the `RESULT` frame. This is the body
-/// of the hidden `--shard-worker` mode of `dco-perf` and of the
-/// thread-based test workers.
+/// wire-encoded [`WorkerSummary`] as the `RESULT` frame, its host-cost
+/// fields zero. This is the body of the hidden `--shard-worker` mode of
+/// `dco-perf` and of the thread-based workers of [`run_sharded_threads`].
 pub fn run_shard_worker<L: FrameLink>(
     params: &RunParams,
     k: u8,
@@ -139,20 +136,18 @@ pub fn run_shard_worker<L: FrameLink>(
     link: &mut L,
 ) -> io::Result<()> {
     let (mut sim, lookahead) = build_shard_sim(params, k, me);
-    let meter = PerfMeter::start();
     run_worker(&mut sim, params.horizon, lookahead, link, |sim| {
         let stats = sim.shard_stats().expect("sharding enabled");
-        let sample = meter.finish();
         encode_to_vec(&WorkerSummary {
             shard: me,
             owned_events: stats.owned_events,
             events_processed: sim.stats().events_processed,
             remote_msgs_sent: stats.remote_msgs_sent,
             set_digest: stats.set_digest,
-            wall_ms: sample.wall_ms(),
-            allocs: sample.alloc.allocs,
-            alloc_bytes: sample.alloc.bytes,
-            peak_live_bytes: sample.peak_live_bytes,
+            wall_ms: 0.0,
+            allocs: 0,
+            alloc_bytes: 0,
+            peak_live_bytes: 0,
             counters: sim.counters().snapshot(),
             obs: sim.protocol().obs.export_shard(),
         })
@@ -168,15 +163,11 @@ pub struct MergedRun {
     pub epochs: u64,
     /// Cross-shard batch frames the orchestrator forwarded.
     pub forwarded_batches: u64,
-    /// Bytes of forwarded batch payloads.
-    pub forwarded_bytes: u64,
     /// `wrapping_add` of the per-shard set digests — the value that must
     /// equal the `K = 1` canonical digest.
     pub root_digest: u64,
     /// Sum of owned runtime dispatches over shards.
     pub owned_events: u64,
-    /// Sum of all dispatches (shadow replays included).
-    pub events_processed: u64,
     /// Sum of cross-shard messages sent.
     pub remote_msgs: u64,
     /// Counters folded over shards.
@@ -248,12 +239,10 @@ pub fn merge_relay(params: &RunParams, report: &RelayReport) -> io::Result<Merge
     Ok(MergedRun {
         epochs: report.epochs,
         forwarded_batches: report.forwarded_batches,
-        forwarded_bytes: report.forwarded_bytes,
         root_digest: workers
             .iter()
             .fold(0u64, |a, w| a.wrapping_add(w.set_digest)),
         owned_events: workers.iter().map(|w| w.owned_events).sum(),
-        events_processed: workers.iter().map(|w| w.events_processed).sum(),
         remote_msgs: workers.iter().map(|w| w.remote_msgs_sent).sum(),
         counters: merge_counters(workers.iter().map(|w| &w.counters)),
         figures,
@@ -308,10 +297,6 @@ pub struct SingleRun {
     pub set_digest: u64,
     /// Owned runtime dispatches (everything, at `K = 1`).
     pub owned_events: u64,
-    /// All dispatches.
-    pub events_processed: u64,
-    /// Wall clock of the run.
-    pub wall_ms: f64,
     /// Counter snapshot.
     pub counters: CounterSnapshot,
     /// Figure statistics.
@@ -321,9 +306,7 @@ pub struct SingleRun {
 /// Runs the canonical single-process reference for `params`.
 pub fn run_single_canonical(params: &RunParams) -> SingleRun {
     let (mut sim, _lookahead) = build_shard_sim(params, 1, 0);
-    let t0 = Instant::now();
     sim.run_until(params.horizon);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let stats = sim.shard_stats().expect("sharding enabled");
     let figures = sim
         .protocol()
@@ -332,10 +315,41 @@ pub fn run_single_canonical(params: &RunParams) -> SingleRun {
     SingleRun {
         set_digest: stats.set_digest,
         owned_events: stats.owned_events,
-        events_processed: sim.stats().events_processed,
-        wall_ms,
         counters: sim.counters().snapshot(),
         figures,
+    }
+}
+
+/// Checks that a folded sharded run reproduces the canonical run: the
+/// root digest, the owned event count, the merged counters, the received
+/// percentage and mean mesh delay (bit for bit), the per-second received
+/// series and the expected pair count. On a mismatch it names the first
+/// quantity that differs, by its field name.
+pub fn check_matches(single: &SingleRun, merged: &MergedRun) -> Result<(), String> {
+    let (s, m) = (&single.figures, &merged.figures);
+    let same = [
+        ("root_digest", merged.root_digest == single.set_digest),
+        ("owned_events", merged.owned_events == single.owned_events),
+        ("counters", merged.counters == single.counters),
+        (
+            "received_pct",
+            m.received_pct.to_bits() == s.received_pct.to_bits(),
+        ),
+        (
+            "mean_mesh_delay",
+            m.mean_mesh_delay.to_bits() == s.mean_mesh_delay.to_bits(),
+        ),
+        (
+            "received_by_second",
+            m.received_by_second == s.received_by_second,
+        ),
+        ("expected_pairs", m.expected_pairs == s.expected_pairs),
+    ];
+    match same.iter().find(|(_, ok)| !ok) {
+        Some((field, _)) => Err(format!(
+            "{field} of the sharded run differs from the canonical run"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -355,27 +369,9 @@ mod tests {
 
     fn assert_matches_single(params: &RunParams, single: &SingleRun, k: u8) {
         let m = run_sharded_threads(params, k).unwrap();
-        assert_eq!(
-            m.root_digest, single.set_digest,
-            "K={k}: root digest diverged from the canonical single-process value"
-        );
-        assert_eq!(m.owned_events, single.owned_events, "K={k}: owned events");
-        assert_eq!(m.counters, single.counters, "K={k}: merged counters");
-        assert_eq!(
-            m.figures.received_pct.to_bits(),
-            single.figures.received_pct.to_bits(),
-            "K={k}: received% must be bit-identical"
-        );
-        assert_eq!(
-            m.figures.mean_mesh_delay.to_bits(),
-            single.figures.mean_mesh_delay.to_bits(),
-            "K={k}: mesh delay"
-        );
-        assert_eq!(
-            m.figures.received_by_second,
-            single.figures.received_by_second
-        );
-        assert_eq!(m.figures.expected_pairs, single.figures.expected_pairs);
+        if let Err(e) = check_matches(single, &m) {
+            panic!("K={k}: {e}");
+        }
         if k > 1 {
             assert!(m.forwarded_batches > 0, "K={k}: no cross-shard traffic?");
             assert!(m.remote_msgs > 0);
@@ -440,6 +436,40 @@ mod tests {
                 assert_matches_single(&params, &single, k);
             }
         }
+    }
+
+    /// The check rejects a difference in each quantity it compares, and
+    /// names that quantity.
+    #[test]
+    fn check_matches_names_each_differing_quantity() {
+        let params = small_params(false);
+        let single = run_single_canonical(&params);
+        let mut m = run_sharded_threads(&params, 2).unwrap();
+        assert_eq!(check_matches(&single, &m), Ok(()));
+        // Each perturbation flips one bit, so applying it twice restores
+        // the run.
+        fn flip(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() ^ 1);
+        }
+        type Perturb = fn(&mut MergedRun);
+        let perturbations: [(&str, Perturb); 7] = [
+            ("root_digest", |m| m.root_digest ^= 1),
+            ("owned_events", |m| m.owned_events ^= 1),
+            ("counters", |m| m.counters.control_total ^= 1),
+            ("received_pct", |m| flip(&mut m.figures.received_pct)),
+            ("mean_mesh_delay", |m| flip(&mut m.figures.mean_mesh_delay)),
+            ("received_by_second", |m| {
+                m.figures.received_by_second[10] ^= 1
+            }),
+            ("expected_pairs", |m| m.figures.expected_pairs ^= 1),
+        ];
+        for (field, perturb) in perturbations {
+            perturb(&mut m);
+            let err = check_matches(&single, &m).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+            perturb(&mut m);
+        }
+        assert_eq!(check_matches(&single, &m), Ok(()));
     }
 
     #[test]

@@ -17,26 +17,29 @@ fn sweep() -> Command {
 }
 
 /// `dco-perf --shards 2` at a toy population: two worker processes must
-/// fold back to the single-process canonical digest, and the report must
-/// say so. This is the per-push CI smoke in miniature.
+/// fold back to the single-process canonical run, and the binary must say
+/// so on its one line per population. This is the per-push CI smoke in
+/// miniature.
 #[test]
 fn dco_perf_shards_reproduces_canonical_digest_across_processes() {
     let out = perf()
-        .args(["--shards", "2", "--populations", "100", "--stdout"])
+        .args(["--shards", "2", "--populations", "100"])
         .output()
         .expect("spawn dco-perf");
-    assert!(
-        out.status.success(),
+    assert_eq!(
+        out.status.code(),
+        Some(0),
         "dco-perf --shards 2 failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let json = String::from_utf8(out.stdout).expect("utf8 report");
-    assert!(json.contains("\"schema\": \"dco-shard/v1\""), "{json}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 output");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "{stdout}");
     assert!(
-        json.contains("\"digest_matches_single_process\": true"),
-        "{json}"
+        lines[0].starts_with("n=100 K=2 churn=false: root digest 0x"),
+        "{stdout}"
     );
-    assert!(json.contains("\"k_shards\": 2"), "{json}");
+    assert!(lines[0].contains("matches the canonical run"), "{stdout}");
 }
 
 /// A worker whose orchestrator died (stdin at EOF) must exit nonzero
@@ -80,9 +83,9 @@ fn shard_worker_index_out_of_range_is_rejected() {
     assert!(err.contains("--shard-worker"), "{err}");
 }
 
-/// `dco-perf` runs only the sharded mode: without `--shards`, or with a
-/// flag it does not know (such as the old `--scale` or `--digests`), it
-/// exits 2 with its usage line.
+/// `dco-perf` runs only the sharded digest gate: without `--shards`, or
+/// with a flag it does not know (such as the old `--scale`, `--digests`,
+/// `--out` or `--stdout`), it exits 2 with its usage line.
 #[test]
 fn dco_perf_refuses_removed_modes() {
     for argv in [
@@ -90,6 +93,8 @@ fn dco_perf_refuses_removed_modes() {
         &["--populations", "100"][..],
         &["--scale"][..],
         &["--shards", "2", "--populations", "100", "--digests"][..],
+        &["--shards", "2", "--populations", "100", "--out", "F"][..],
+        &["--shards", "2", "--populations", "100", "--stdout"][..],
     ] {
         let out = perf().args(argv).output().expect("spawn dco-perf");
         assert_eq!(

@@ -180,14 +180,13 @@ impl Counters {
 /// counters; a binary installs it with `#[global_allocator]` and brackets
 /// each measured region with [`perf::AllocStats::snapshot`]. The
 /// simulation itself never reads these counters — they exist so
-/// `perfbench` and the sharded runs of `dco-perf` can report allocations
-/// and peak live bytes alongside wall clock without dragging a profiler
-/// into the tree. In binaries that do *not* install the allocator every
-/// snapshot is zero and the deltas degrade gracefully.
+/// `perfbench` can report allocations and peak live bytes, and the
+/// allocation-guard tests can count allocations, without dragging a
+/// profiler into the tree. In binaries that do *not* install the allocator
+/// every snapshot is zero and the deltas degrade gracefully.
 pub mod perf {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-    use std::time::Instant;
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static FREES: AtomicU64 = AtomicU64::new(0);
@@ -289,54 +288,6 @@ pub mod perf {
             }
         }
     }
-
-    /// Wall-clock + allocation meter for one measured region.
-    pub struct PerfMeter {
-        t0: Instant,
-        a0: AllocStats,
-    }
-
-    impl PerfMeter {
-        /// Starts timing now. Also rewinds the live-bytes high-water mark,
-        /// so the sample's `peak_live_bytes` covers exactly this region.
-        #[allow(clippy::new_without_default)]
-        pub fn start() -> PerfMeter {
-            AllocStats::reset_peak();
-            PerfMeter {
-                a0: AllocStats::snapshot(),
-                t0: Instant::now(),
-            }
-        }
-
-        /// Stops timing.
-        pub fn finish(self) -> PerfSample {
-            PerfSample {
-                wall_ns: self.t0.elapsed().as_nanos(),
-                alloc: AllocStats::snapshot().delta_since(self.a0),
-                peak_live_bytes: AllocStats::peak_live_bytes(),
-            }
-        }
-    }
-
-    /// One measured region: wall clock and allocator deltas.
-    #[derive(Clone, Copy, Debug)]
-    pub struct PerfSample {
-        /// Wall-clock nanoseconds.
-        pub wall_ns: u128,
-        /// Allocator activity in the region.
-        pub alloc: AllocStats,
-        /// Peak bytes simultaneously live during the region (the memory
-        /// the region actually *needed*, as opposed to `alloc.bytes`,
-        /// which is cumulative turnover).
-        pub peak_live_bytes: u64,
-    }
-
-    impl PerfSample {
-        /// Wall-clock milliseconds as a float.
-        pub fn wall_ms(&self) -> f64 {
-            self.wall_ns as f64 / 1e6
-        }
-    }
 }
 
 /// An owned, comparable copy of all counters at one instant.
@@ -425,8 +376,8 @@ mod tests {
     }
 
     #[test]
-    fn perf_meter_and_alloc_deltas() {
-        use super::perf::{AllocStats, PerfMeter};
+    fn alloc_deltas_saturate_and_gauges_read_zero() {
+        use super::perf::AllocStats;
         let later = AllocStats {
             allocs: 10,
             frees: 7,
@@ -440,11 +391,8 @@ mod tests {
         let d = later.delta_since(earlier);
         assert_eq!((d.allocs, d.frees, d.bytes), (6, 0, 3072));
 
-        let sample = PerfMeter::start().finish();
-        assert!(sample.wall_ms() >= 0.0);
         // Without a CountingAlloc installed (lib tests run on the system
         // allocator) the byte gauges read zero and must not underflow.
-        assert_eq!(sample.peak_live_bytes, 0);
         assert_eq!(AllocStats::live_bytes(), 0);
         AllocStats::reset_peak();
         assert_eq!(AllocStats::peak_live_bytes(), 0);

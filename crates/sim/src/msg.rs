@@ -51,12 +51,6 @@ impl SizeBits {
         self.0
     }
 
-    /// Size in kilobits, truncating.
-    #[inline]
-    pub const fn kilobits(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// True if the message carries no payload bits.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -95,7 +89,6 @@ mod tests {
     #[test]
     fn size_conversions() {
         assert_eq!(SizeBits::from_kilobits(300).bits(), 300_000);
-        assert_eq!(SizeBits::from_kilobits(300).kilobits(), 300);
         assert!(SizeBits::ZERO.is_zero());
         assert!(!SizeBits(1).is_zero());
     }

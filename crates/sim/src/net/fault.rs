@@ -37,11 +37,6 @@ impl FaultPlan {
         }
     }
 
-    /// Severs the directed link `from → to`.
-    pub fn cut_link(&mut self, from: NodeId, to: NodeId) {
-        self.cut_links.insert((from, to));
-    }
-
     /// Severs both directions between `a` and `b`.
     pub fn cut_pair(&mut self, a: NodeId, b: NodeId) {
         self.cut_links.insert((a, b));
@@ -113,7 +108,9 @@ mod tests {
     #[test]
     fn cut_links_are_directed() {
         let mut plan = FaultPlan::none();
-        plan.cut_link(NodeId(0), NodeId(1));
+        // Sever both directions, then restore one: the other stays cut.
+        plan.cut_pair(NodeId(0), NodeId(1));
+        plan.heal_link(NodeId(1), NodeId(0));
         let mut rng = SimRng::seed_from_u64(3);
         assert!(plan.drops(NodeId(0), NodeId(1), MsgClass::Control, &mut rng));
         assert!(!plan.drops(NodeId(1), NodeId(0), MsgClass::Control, &mut rng));

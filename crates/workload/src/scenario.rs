@@ -160,7 +160,7 @@ mod tests {
         let s = Scenario::paper_default(1);
         assert_eq!(s.n_nodes, 512);
         assert_eq!(s.n_chunks, 100);
-        assert_eq!(s.chunk_size.kilobits(), 300);
+        assert_eq!(s.chunk_size.bits(), 300_000);
         assert_eq!(s.chunk_interval, SimDuration::from_secs(1));
         assert!(s.churn.is_none());
     }
