@@ -119,11 +119,14 @@ fn bench_chord_routing() {
     });
 }
 
-/// One stabilize reply's merge on a converged 512-node ring: node `a`
-/// takes its successor's 32-entry successor list into its successor list
-/// and finger table (the table is already exact, so every iteration does
-/// the same work).
-fn bench_pred_reply_merge() {
+/// Ring repair on a converged 512-node ring, where the books are already
+/// exact, so every iteration does the same work:
+/// - one stabilize reply's merge: node `a` takes its successor's 32-entry
+///   successor list into its successor list and finger table;
+/// - single-peer learns: `a` hears a `Notify` from a random member, which
+///   probes its tombstones and offers the member to its successor list and
+///   its 64 fingers (a few runs of one peer each).
+fn bench_ring_repair() {
     let cfg = ChordConfig {
         successor_list_len: 32,
         ..ChordConfig::default()
@@ -146,6 +149,14 @@ fn bench_pred_reply_merge() {
         let sent = out.sends.len();
         out.sends.clear();
         sent
+    });
+    let mut rng = SimRng::seed_from_u64(4);
+    bench("chord/learn_converged", 2000, || {
+        let peer = ring[rng.gen_range(1..ring.len())];
+        net.handle(a.node, peer.node, ChordMsg::Notify { peer }, &mut out);
+        let produced = out.events.len();
+        out.events.clear();
+        produced
     });
 }
 
@@ -263,7 +274,7 @@ fn main() {
     bench_event_queue();
     bench_hashing();
     bench_chord_routing();
-    bench_pred_reply_merge();
+    bench_ring_repair();
     bench_index_table();
     bench_buffer_map();
     bench_observer_record();

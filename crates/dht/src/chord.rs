@@ -27,7 +27,7 @@ use dco_sim::slab::SlotTable;
 use dco_sim::smallvec::SmallVec;
 
 use crate::id::{ChordId, Peer};
-use crate::pool::{FingerPool, SuccessorPool};
+use crate::pool::{FingerPool, SuccessorPool, TombstonePool};
 use crate::ring::OracleRing;
 
 /// Tuning knobs for the ring.
@@ -135,6 +135,13 @@ pub const FIND_TTL: u8 = 64;
 /// Stabilize ticks after which a death tombstone expires (allows rejoined
 /// nodes to be re-learned from gossip; direct contact clears it earlier).
 pub const SUSPECT_TTL_TICKS: u64 = 30;
+
+/// Stabilize ticks after which a death leaves the gossip of
+/// [`ChordMsg::PredReply`] (the ring has flushed by then; unbounded gossip
+/// would keep rejoined nodes banned). No longer than the tombstone's life,
+/// so every node still gossiped is still tombstoned.
+const GOSSIP_TTL_TICKS: u64 = 10;
+const _: () = assert!(GOSSIP_TTL_TICKS <= SUSPECT_TTL_TICKS);
 
 /// Events the host must react to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -410,6 +417,16 @@ impl ChordState {
 /// The pooled per-node repair state: successor lists, finger tables,
 /// probe-miss counts and death tombstones for *all* nodes, in flat arrays
 /// indexed by node slot. One allocation per book instead of four per node.
+///
+/// Under churn most calls here change nothing, and the books answer those
+/// without scanning (see [`crate::pool`]): a successor offer that is a
+/// duplicate or falls past capacity is rejected at its insert position,
+/// found by binary search (or, through a stabilize reply's list, by
+/// walking on from the previous one); a finger offer or removal steps over
+/// runs of one repeated peer, not over 64 fingers; a tombstone probe for a
+/// node no owner suspects is one read of a per-node count. Each answer is
+/// the one the plain scan gives, so no decision (and no pinned digest)
+/// moves.
 struct Books {
     succs: SuccessorPool,
     fingers: FingerPool,
@@ -423,8 +440,10 @@ struct Books {
     /// or expiry after [`SUSPECT_TTL_TICKS`] — lifts the suspicion (expiry
     /// matters because churned nodes can rejoin under the same address).
     /// Without tombstones, a corpse deep in a neighbor's successor list
-    /// circulates forever.
-    suspected: SlotTable<u64>,
+    /// circulates forever. Probed on every message (`unsuspect`) and every
+    /// learned peer, almost always for a node nobody suspects, which the
+    /// pool's per-node holder count answers without a scan.
+    suspected: TombstonePool,
 }
 
 impl Books {
@@ -436,7 +455,7 @@ impl Books {
             // counters per node; tombstones burst a little wider under
             // gossip. Both strides double globally if ever outgrown.
             probe_misses: SlotTable::new(owners, 2),
-            suspected: SlotTable::new(owners, 4),
+            suspected: TombstonePool::new(owners, 4),
         }
     }
 
@@ -459,7 +478,7 @@ impl Books {
     /// Learns that `p` exists (fills fingers and the successor list),
     /// unless `p` is currently suspected dead.
     fn learn(&mut self, st: &ChordState, owner: usize, p: Peer) {
-        if p.node == st.me.node || self.suspected.contains(owner, p.node.0) {
+        if p.node == st.me.node || self.suspected.contains(owner, p.node) {
             return;
         }
         self.succs.offer(owner, st.me.id, p);
@@ -478,7 +497,7 @@ impl Books {
         // from the last evidence of death. The hop bound terminates gossip
         // waves, so refreshes stop shortly after the last real detection
         // and expiry stays reachable.
-        self.suspected.insert(owner, node.0, st.tick);
+        self.suspected.insert(owner, node, st.tick);
         self.succs.remove_node(owner, node);
         self.fingers.remove_node(owner, node);
         if st.pred.map(|p| p.node == node).unwrap_or(false) {
@@ -501,32 +520,35 @@ impl Books {
     }
 
     /// A message arrived directly from `node`: it is demonstrably alive.
+    ///
+    /// A node in `recent_dead` is always tombstoned too: both are written
+    /// together in `forget_with_hops`, a refresh only moves the tombstone's
+    /// tick later, and the tombstone outlives the gossip entry
+    /// ([`SUSPECT_TTL_TICKS`] against `GOSSIP_TTL_TICKS`). So when no
+    /// tombstone is lifted there is no gossip entry to drop either.
     fn unsuspect(&mut self, st: &mut ChordState, owner: usize, node: NodeId) {
-        self.suspected.remove(owner, node.0);
-        st.recent_dead.retain(|&(n, _, _)| n != node);
+        if self.suspected.remove(owner, node) {
+            st.recent_dead.retain(|&(n, _, _)| n != node);
+        }
+        debug_assert!(st.recent_dead.iter().all(|&(n, _, _)| n != node));
     }
 
     /// The best greedy next hop toward `key`: the peer whose ID most
     /// closely precedes `key`, drawn from the finger table **and** the
     /// successor list. Wide successor lists (the paper's "neighbors",
     /// swept 8→64 in §IV) therefore shorten routes — which is exactly why
-    /// DCO's overhead *falls* as the neighbor count grows (Fig. 8).
+    /// DCO's overhead *falls* as the neighbor count grows (Fig. 8). Both
+    /// lookups are searches: the finger table's over its runs, the
+    /// successor list's a binary search over its distance order.
     fn best_hop(&self, st: &ChordState, owner: usize, key: ChordId) -> Option<Peer> {
         let me = st.me.id;
-        let mut best: Option<Peer> = self.fingers.closest_preceding(owner, me, key);
-        for p in self.succs.iter(owner) {
-            if p.id.in_open(me, key) {
-                match best {
-                    None => best = Some(p),
-                    Some(b) => {
-                        if me.distance_to(p.id) > me.distance_to(b.id) {
-                            best = Some(p);
-                        }
-                    }
-                }
-            }
+        let finger = self.fingers.closest_preceding(owner, me, key);
+        // Scanning the list nearest first and keeping any farther entry
+        // ends at its farthest in-range entry, if that beats the finger.
+        match (finger, self.succs.closest_preceding(owner, me, key)) {
+            (Some(f), Some(s)) if me.distance_to(s.id) <= me.distance_to(f.id) => Some(f),
+            (f, s) => s.or(f),
         }
-        best
     }
 }
 
@@ -575,7 +597,7 @@ impl<'a> ChordStateRef<'a> {
 
     /// True if this node currently suspects `node` dead (test hook).
     pub fn suspects(&self, node: NodeId) -> bool {
-        self.books.suspected.contains(self.owner, node.0)
+        self.books.suspected.contains(self.owner, node)
     }
 }
 
@@ -1002,13 +1024,11 @@ impl ChordNet {
         }
         // Merge the successor's list for fault tolerance, by learn()'s
         // rules: never ourselves, never a suspected-dead entry of the
-        // gossip. The successor list takes the peers in the order sent (its
-        // dedup and truncation depend on it); the finger table takes the
-        // same list as one batch, which leaves the same table.
-        succs.retain(|p| p.node != node && !books.suspected.contains(owner, p.node.0));
-        for &p in &succs {
-            books.succs.offer(owner, me.id, p);
-        }
+        // gossip. Both books take the list as one batch, which leaves what
+        // offering the peers one by one in the order sent leaves (the
+        // successor list's dedup and truncation depend on that order).
+        succs.retain(|p| p.node != node && !books.suspected.contains(owner, p.node));
+        books.succs.offer_all(owner, me.id, &succs);
         books.fingers.offer_all(owner, me.id, &succs);
         // Tell the (possibly new) working successor about us.
         if let Some(s) = books.succs.first(owner) {
@@ -1061,11 +1081,9 @@ impl ChordNet {
             return;
         };
         st.tick += 1;
-        // Death gossip expires after 10 ticks (the ring has flushed by
-        // then; unbounded gossip would keep rejoined nodes banned).
         let now_tick = st.tick;
         st.recent_dead
-            .retain(|&(_, t, _)| now_tick.saturating_sub(t) < 10);
+            .retain(|&(_, t, _)| now_tick.saturating_sub(t) < GOSSIP_TTL_TICKS);
         books
             .suspected
             .retain(owner, |_, t| now_tick.saturating_sub(t) < SUSPECT_TTL_TICKS);
@@ -1282,11 +1300,21 @@ impl ChordNet {
                     }
                     net.books.succs.offer(slot, p.id, s);
                 }
-                for k in 0..crate::id::ID_BITS {
+                // Finger `k` is the owner of `p + 2^k`. That owner `o` also
+                // owns every later start up to `p + 2^floor(log2 d)`, where
+                // `d` is its distance from `p`, so it fills that whole run.
+                // An owner at `p` itself (`d == 0`) means no other member
+                // lies in `[start, p)`, nor in any later, shorter range.
+                let mut k = 0;
+                while k < crate::id::ID_BITS {
                     let owner = ring[owner_at(p.id.finger_start(k))];
-                    if owner.node != p.node {
-                        net.books.fingers.set(slot, k, owner);
+                    let d = p.id.distance_to(owner.id);
+                    if d == 0 {
+                        break;
                     }
+                    let end = 63 - d.leading_zeros();
+                    net.books.fingers.set_range(slot, k, end, owner);
+                    k = end + 1;
                 }
             }
             net.nodes[slot] = Some(st);

@@ -21,10 +21,11 @@ use dco_dht::chord::{ChordConfig, ChordNet, Outbox, RouteDecision};
 use dco_dht::finger::FingerTable;
 use dco_dht::hash::hash_node;
 use dco_dht::id::{ChordId, Peer};
-use dco_dht::pool::{FingerPool, SuccessorPool};
+use dco_dht::pool::{FingerPool, SuccessorPool, TombstonePool};
 use dco_dht::ring::OracleRing;
 use dco_dht::successors::SuccessorList;
 use dco_sim::node::NodeId;
+use dco_sim::slab::SlotTable;
 use dco_testkit::{check, tk_assert, tk_assert_eq, Gen};
 
 // ---------------------------------------------------------------------
@@ -36,9 +37,36 @@ fn gen_peer(g: &mut Gen) -> Peer {
     Peer::new(ChordId(g.any_u64()), NodeId(g.usize_in(0, 24) as u32))
 }
 
+/// A stabilize reply's list as `owner` at `me` receives it: members
+/// sorted by distance from a replier near `me` (so ascending from `me`
+/// too, until the list passes `me` and wraps), with repeats of the
+/// owner's own entries (same peer, or same id or node only), `me` itself
+/// and strays mixed in.
+fn gen_reply(g: &mut Gen, me: ChordId, held: &[Peer]) -> Vec<Peer> {
+    let from = ChordId(me.0.wrapping_add(g.any_u64() >> g.usize_in(0, 64)));
+    let mut list: Vec<Peer> = (0..g.usize_in(0, 12)).map(|_| gen_peer(g)).collect();
+    list.extend(held.iter().copied().filter(|_| g.weighted_bool(0.7)));
+    list.sort_by_key(|p| from.distance_to(p.id));
+    for _ in 0..g.usize_in(0, 3) {
+        let i = g.usize_in(0, list.len() + 1);
+        let stray = match g.usize_in(0, 4) {
+            0 => Peer::new(me, NodeId(g.usize_in(0, 24) as u32)),
+            1 if !held.is_empty() => Peer::new(g.pick(held).id, NodeId(g.usize_in(0, 24) as u32)),
+            2 if !held.is_empty() => Peer::new(ChordId(g.any_u64()), g.pick(held).node),
+            _ => gen_peer(g),
+        };
+        list.insert(i, stray);
+    }
+    list
+}
+
 /// Arbitrary interleaved offer/remove sequences on [`SuccessorPool`]
 /// produce exactly the retained [`SuccessorList`] per owner: same order,
-/// same first, same membership, same capacity behaviour.
+/// same first, same membership, same capacity behaviour. A batch offer
+/// (`offer_all`, with stabilize-reply-shaped batches) leaves what
+/// offering its peers one by one leaves, and the routing hop
+/// (`closest_preceding`) is the farthest entry a scan finds strictly
+/// between the owner and the key.
 #[test]
 fn successor_pool_matches_retained_list() {
     check("successor_pool_matches_retained_list", 128, |g| {
@@ -52,49 +80,150 @@ fn successor_pool_matches_retained_list() {
             .collect();
         for _ in 0..g.usize_in(1, 120) {
             let o = g.usize_in(0, owners);
-            if g.usize_in(0, 4) == 0 {
-                let node = NodeId(g.usize_in(0, 24) as u32);
-                tk_assert_eq!(
-                    pool.remove_node(o, node),
-                    refs[o].remove_node(node),
-                    "remove_node return"
-                );
-            } else {
-                let p = gen_peer(g);
-                tk_assert_eq!(
-                    pool.offer(o, me_ids[o], p),
-                    refs[o].offer(p),
-                    "offer return for {p:?}"
-                );
+            match g.usize_in(0, 6) {
+                0 => {
+                    let node = NodeId(g.usize_in(0, 24) as u32);
+                    tk_assert_eq!(
+                        pool.remove_node(o, node),
+                        refs[o].remove_node(node),
+                        "remove_node return"
+                    );
+                }
+                1 | 2 => {
+                    let held: Vec<Peer> = refs[o].iter().collect();
+                    let batch = gen_reply(g, me_ids[o], &held);
+                    pool.offer_all(o, me_ids[o], &batch);
+                    for &p in &batch {
+                        refs[o].offer(p);
+                    }
+                }
+                _ => {
+                    let p = gen_peer(g);
+                    tk_assert_eq!(
+                        pool.offer(o, me_ids[o], p),
+                        refs[o].offer(p),
+                        "offer return for {p:?}"
+                    );
+                }
             }
+            let key = ChordId(g.any_u64());
             for (o, r) in refs.iter().enumerate() {
                 let got: Vec<Peer> = pool.iter(o).collect();
                 let want: Vec<Peer> = r.iter().collect();
                 tk_assert_eq!(got, want, "owner {o} diverged");
                 tk_assert_eq!(pool.first(o), r.first());
                 tk_assert_eq!(pool.len(o), r.len());
+                let me = me_ids[o];
+                let mut keys = vec![key, me];
+                keys.extend(want.iter().map(|p| p.id));
+                for key in keys {
+                    let scan = want
+                        .iter()
+                        .copied()
+                        .filter(|p| p.id.in_open(me, key))
+                        .max_by_key(|p| me.distance_to(p.id));
+                    tk_assert_eq!(
+                        pool.closest_preceding(o, me, key),
+                        scan,
+                        "closest_preceding({key:?}) of owner {o}"
+                    );
+                }
             }
         }
         Ok(())
     });
 }
 
+/// The fingers of `me` in a converged ring of random members: finger `k`
+/// is the member nearest clockwise from `start(k)`, so a few members each
+/// hold a long run of adjacent fingers, as in a converged table. A few
+/// fingers are then overwritten with an entry out of their range (at a
+/// distance below `2^k`, as a wrapped fix-fingers answer can be).
+fn converged_fingers(g: &mut Gen, me: ChordId) -> Vec<(u32, Peer)> {
+    let members: Vec<Peer> = (0..g.usize_in(1, 40)).map(|_| gen_peer(g)).collect();
+    let mut fingers: Vec<(u32, Peer)> = (0..64u32)
+        .filter_map(|k| {
+            let start = me.finger_start(k);
+            members
+                .iter()
+                .copied()
+                .filter(|p| p.id != me)
+                .min_by_key(|p| start.distance_to(p.id))
+                .map(|p| (k, p))
+        })
+        .collect();
+    for _ in 0..g.usize_in(0, 4) {
+        let k = g.usize_in(0, 64) as u32;
+        let d = g.u64_in(0, 1 << k);
+        let node = NodeId(g.usize_in(0, 24) as u32);
+        fingers.push((k, Peer::new(ChordId(me.0.wrapping_add(d)), node)));
+    }
+    fingers
+}
+
+/// Checks every finger and every derived query of `pool`'s owner `o`
+/// against the reference table, probing `closest_preceding` at `key`, at
+/// `me` and at every finger's own id (the edges of its answers).
+fn same_fingers(pool: &FingerPool, o: usize, r: &FingerTable, key: ChordId) -> Result<(), String> {
+    let me = r.me();
+    for k in 0..64u32 {
+        tk_assert_eq!(pool.get(o, k), r.get(k), "finger {k} of owner {o}");
+    }
+    tk_assert_eq!(pool.populated(o), r.populated());
+    let mut keys = vec![key, me];
+    keys.extend(r.distinct_peers().iter().map(|p| p.id));
+    for key in keys {
+        tk_assert_eq!(
+            pool.closest_preceding(o, me, key),
+            r.closest_preceding(key),
+            "closest_preceding({key:?}) of owner {o}"
+        );
+    }
+    tk_assert_eq!(pool.distinct_peers(o), r.distinct_peers());
+    Ok(())
+}
+
 /// Arbitrary set/clear/offer/remove sequences on [`FingerPool`] produce
 /// exactly the retained [`FingerTable`] per owner, including the derived
-/// queries (`closest_preceding`, `distinct_peers`, `populated`).
+/// queries (`closest_preceding`, `distinct_peers`, `populated`). Tables
+/// start empty or converged (long runs of one peer), and the operations
+/// both split runs (`set`, `clear`, single offers) and extend or drop
+/// whole runs (`set` of a neighbour's entry, `remove_node` of a held node,
+/// batch offers, a reseed after `clear_owner`).
 #[test]
 fn finger_pool_matches_retained_table() {
-    check("finger_pool_matches_retained_table", 96, |g| {
+    check("finger_pool_matches_retained_table", 128, |g| {
         let owners = g.usize_in(1, 4);
         let me_ids: Vec<ChordId> = (0..owners).map(|_| ChordId(g.any_u64())).collect();
         let mut pool = FingerPool::new(owners);
         let mut refs: Vec<FingerTable> = me_ids.iter().map(|&me| FingerTable::new(me)).collect();
+        let seed = |g: &mut Gen, pool: &mut FingerPool, r: &mut FingerTable, o: usize| {
+            for (k, p) in converged_fingers(g, r.me()) {
+                pool.set(o, k, p);
+                r.set(k, p);
+            }
+        };
+        for (o, r) in refs.iter_mut().enumerate() {
+            if g.weighted_bool(0.5) {
+                seed(g, &mut pool, r, o);
+            }
+        }
         for _ in 0..g.usize_in(1, 160) {
             let o = g.usize_in(0, owners);
-            match g.usize_in(0, 4) {
+            let me = me_ids[o];
+            let held = refs[o].distinct_peers();
+            match g.usize_in(0, 7) {
                 0 => {
                     let k = g.usize_in(0, 64) as u32;
-                    let p = gen_peer(g);
+                    // A neighbour's entry extends its run; anything else
+                    // splits one.
+                    let near = refs[o]
+                        .get(k.saturating_sub(1))
+                        .or(refs[o].get((k + 1).min(63)));
+                    let p = match near {
+                        Some(p) if g.weighted_bool(0.5) => p,
+                        _ => gen_peer(g),
+                    };
                     pool.set(o, k, p);
                     refs[o].set(k, p);
                 }
@@ -104,31 +233,49 @@ fn finger_pool_matches_retained_table() {
                     refs[o].clear(k);
                 }
                 2 => {
-                    let node = NodeId(g.usize_in(0, 24) as u32);
+                    let node = if !held.is_empty() && g.weighted_bool(0.7) {
+                        g.pick(&held).node
+                    } else {
+                        NodeId(g.usize_in(0, 24) as u32)
+                    };
                     tk_assert_eq!(
                         pool.remove_node(o, node),
                         refs[o].remove_node(node),
                         "remove_node count"
                     );
                 }
+                3 => {
+                    let p = gen_batch_peer(g, me, &held);
+                    pool.offer_all(o, me, &[p]);
+                    refs[o].offer(p);
+                }
+                4 => {
+                    let mut batch: Vec<Peer> = held.clone();
+                    let n = g.usize_in(0, 12);
+                    for _ in 0..n {
+                        let p = gen_batch_peer(g, me, &batch);
+                        batch.push(p);
+                    }
+                    let batch = batch.split_off(held.len());
+                    pool.offer_all(o, me, &batch);
+                    for &p in &batch {
+                        refs[o].offer(p);
+                    }
+                }
+                5 => {
+                    pool.clear_owner(o);
+                    refs[o] = FingerTable::new(me);
+                    seed(g, &mut pool, &mut refs[o], o);
+                }
                 _ => {
                     let p = gen_peer(g);
-                    pool.offer_all(o, me_ids[o], &[p]);
+                    pool.offer_all(o, me, &[p]);
                     refs[o].offer(p);
                 }
             }
             let key = ChordId(g.any_u64());
-            for (o, (r, &me)) in refs.iter().zip(me_ids.iter()).enumerate() {
-                for k in 0..64u32 {
-                    tk_assert_eq!(pool.get(o, k), r.get(k), "finger {k} of owner {o}");
-                }
-                tk_assert_eq!(pool.populated(o), r.populated());
-                tk_assert_eq!(
-                    pool.closest_preceding(o, me, key),
-                    r.closest_preceding(key),
-                    "closest_preceding owner {o}"
-                );
-                tk_assert_eq!(pool.distinct_peers(o), r.distinct_peers());
+            for (o, r) in refs.iter().enumerate() {
+                same_fingers(&pool, o, r, key)?;
             }
         }
         Ok(())
@@ -161,7 +308,7 @@ fn gen_batch_peer(g: &mut Gen, me: ChordId, earlier: &[Peer]) -> Peer {
 /// `offer_all` leaves exactly the table that offering the batch one peer
 /// at a time (in slice order) to the reference [`FingerTable`] leaves —
 /// every finger and every derived query — starting from tables that hold
-/// earlier offers and fingers `set` out of their range.
+/// earlier offers, converged runs and fingers `set` out of their range.
 #[test]
 fn finger_pool_offer_all_matches_sequential_offers() {
     check(
@@ -176,9 +323,15 @@ fn finger_pool_offer_all_matches_sequential_offers() {
             for _ in 0..g.usize_in(1, 12) {
                 let o = g.usize_in(0, owners);
                 let me = me_ids[o];
-                // Current fingers: some set at a distance below 2^k, out of
-                // their own range (fix-fingers can store such a wrapped
-                // successor), some set anywhere.
+                // Current fingers: a converged table, or some set at a
+                // distance below 2^k, out of their own range (fix-fingers
+                // can store such a wrapped successor), some set anywhere.
+                if g.weighted_bool(0.5) {
+                    for (k, p) in converged_fingers(g, me) {
+                        pool.set(o, k, p);
+                        refs[o].set(k, p);
+                    }
+                }
                 for _ in 0..g.usize_in(0, 6) {
                     let k = g.usize_in(0, 64) as u32;
                     let d = if g.weighted_bool(0.5) {
@@ -193,35 +346,108 @@ fn finger_pool_offer_all_matches_sequential_offers() {
                     pool.set(o, k, p);
                     refs[o].set(k, p);
                 }
-                let mut batch: Vec<Peer> = Vec::new();
+                // Batch peers may repeat the table's own entries.
+                let held = refs[o].distinct_peers();
+                let mut batch: Vec<Peer> = held.clone();
                 for _ in 0..g.usize_in(0, 40) {
                     let p = gen_batch_peer(g, me, &batch);
                     batch.push(p);
                 }
+                let batch = batch.split_off(held.len());
                 pool.offer_all(o, me, &batch);
                 for &p in &batch {
                     refs[o].offer(p);
                 }
-                for (o, (r, &me)) in refs.iter().zip(me_ids.iter()).enumerate() {
-                    for k in 0..64u32 {
-                        tk_assert_eq!(pool.get(o, k), r.get(k), "finger {k} of owner {o}");
-                    }
-                    let mut keys: Vec<ChordId> = batch.iter().map(|p| p.id).collect();
-                    keys.push(ChordId(g.any_u64()));
-                    keys.push(me);
-                    for key in keys {
-                        tk_assert_eq!(
-                            pool.closest_preceding(o, me, key),
-                            r.closest_preceding(key),
-                            "closest_preceding({key:?}) of owner {o}"
-                        );
-                    }
-                    tk_assert_eq!(pool.distinct_peers(o), r.distinct_peers());
+                let key = ChordId(g.any_u64());
+                for (o, r) in refs.iter().enumerate() {
+                    same_fingers(&pool, o, r, key)?;
                 }
             }
             Ok(())
         },
     );
+}
+
+/// [`TombstonePool`]'s counted probe answers exactly what a plain linear
+/// [`SlotTable`] of the same tombstones answers, and its per-node count is
+/// the number of owners whose table holds the node, through every way a
+/// tombstone comes and goes in `ChordNet`: a death observed or gossiped
+/// (insert), gossip re-observing it (refresh of the tick), a message
+/// straight from the node (remove), TTL expiry on a stabilize tick
+/// (`retain`), an owner leaving or joining (`clear`), a rejoin under a
+/// reused slot (the slot's own table cleared, other owners' tombstones for
+/// it lifted one by one on direct contact), and the ring growing.
+#[test]
+fn tombstone_pool_matches_linear_table() {
+    check("tombstone_pool_matches_linear_table", 128, |g| {
+        let mut owners = g.usize_in(1, 6);
+        // Node ids past the owner slots too: gossip can name any node.
+        let nodes = owners + g.usize_in(0, 4);
+        let stride = g.usize_in(1, 4);
+        let ttl = g.u64_in(1, 12);
+        let mut pool = TombstonePool::new(owners, stride);
+        let mut model: SlotTable<u64> = SlotTable::new(owners, stride);
+        let mut tick = 0u64;
+        for _ in 0..g.usize_in(1, 200) {
+            let o = g.usize_in(0, owners);
+            let node = NodeId(g.usize_in(0, nodes) as u32);
+            match g.usize_in(0, 7) {
+                0 | 1 => {
+                    pool.insert(o, node, tick);
+                    model.insert(o, node.0, tick);
+                }
+                2 => {
+                    tk_assert_eq!(
+                        pool.remove(o, node),
+                        model.remove(o, node.0).is_some(),
+                        "remove({o}, {node})"
+                    );
+                }
+                3 => {
+                    tick += g.u64_in(0, 6);
+                    let keep = |t: u64| tick - t < ttl;
+                    pool.retain(o, |_, t| keep(t));
+                    model.retain(o, |_, t| keep(t));
+                }
+                4 => {
+                    pool.clear(o);
+                    model.clear(o);
+                }
+                5 => {
+                    // Slot `o` rejoins: its books start empty, and every
+                    // owner it contacts lifts its tombstone for it.
+                    pool.clear(o);
+                    model.clear(o);
+                    let me = NodeId(o as u32);
+                    for peer in 0..owners {
+                        if g.weighted_bool(0.5) {
+                            tk_assert_eq!(
+                                pool.remove(peer, me),
+                                model.remove(peer, me.0).is_some(),
+                                "rejoin contact at {peer}"
+                            );
+                        }
+                    }
+                }
+                _ => {
+                    owners += 1;
+                    pool.grow_owners(owners);
+                    model.grow_owners(owners);
+                }
+            }
+            for n in 0..nodes as u32 {
+                let node = NodeId(n);
+                let mut holders = 0;
+                for o in 0..owners {
+                    let held = model.contains(o, n);
+                    tk_assert_eq!(pool.contains(o, node), held, "owner {o} node {n}");
+                    holders += held as u32;
+                }
+                tk_assert_eq!(pool.holders(node), holders, "holders of node {n}");
+            }
+        }
+        Ok(())
+    });
 }
 
 // ---------------------------------------------------------------------

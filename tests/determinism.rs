@@ -390,8 +390,8 @@ pinned_row_tests! {
     pinned_fifo_static_50k: Static, Fifo, 50_000, "release-scale: N=50000, ~6 min, 588 MiB peak RSS";
     pinned_fifo_static_100k: Static, Fifo, 100_000, "release-scale: N=100000, ~17 min, 1.2 GiB peak RSS";
     pinned_fifo_churn_1k: Churn, Fifo, 1_000, "release-scale: N=1000";
-    pinned_fifo_churn_10k: Churn, Fifo, 10_000, "release-scale: N=10000, ~5 min, 247 MiB peak RSS";
-    pinned_fifo_churn_50k: Churn, Fifo, 50_000, "release-scale: N=50000, ~39 min, 1.2 GiB peak RSS";
+    pinned_fifo_churn_10k: Churn, Fifo, 10_000, "release-scale: N=10000, ~3 min, 246 MiB peak RSS";
+    pinned_fifo_churn_50k: Churn, Fifo, 50_000, "release-scale: N=50000, ~19 min, 1.2 GiB peak RSS";
     pinned_canonical_static_1k: Static, Canonical, 1_000, "release-scale: N=1000";
     pinned_canonical_static_10k: Static, Canonical, 10_000, "release-scale: N=10000";
     pinned_canonical_churn_1k: Churn, Canonical, 1_000, "release-scale: N=1000";
