@@ -9,13 +9,14 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dco_core::buffer::BufferMap;
-use dco_core::chunk::ChunkSeq;
+use dco_core::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL, CHUNK_SIZE};
+use dco_core::proto::{BUSY_BACKLOG, FETCH_TICK, MAX_INFLIGHT, REQUEST_TIMEOUT};
 use dco_metrics::StreamObserver;
 use dco_sim::prelude::*;
 use dco_sim::slab::SlotTable;
 use dco_sim::smallvec::SmallVec;
 
-use crate::config::BaselineConfig;
+use crate::config::{BaselineConfig, BUFMAP_EVERY};
 use crate::mesh::MeshCore;
 
 /// Pull-mesh wire messages.
@@ -85,7 +86,7 @@ pub struct PullProtocol {
     mesh: MeshCore,
     nodes: Vec<Option<PullNode>>,
     /// Outstanding requests, pooled across nodes: node → (seq → provider).
-    /// At most `max_inflight` entries per node, so one flat
+    /// At most [`MAX_INFLIGHT`] entries per node, so one flat
     /// [`SlotTable`] replaces a per-node `HashMap`.
     pending: SlotTable<u32>,
     next_seq: ChunkSeq,
@@ -100,7 +101,7 @@ impl PullProtocol {
         PullProtocol {
             mesh: MeshCore::new(n, cfg.neighbors),
             nodes: (0..n).map(|_| None).collect(),
-            pending: SlotTable::new(n, cfg.max_inflight.max(1)),
+            pending: SlotTable::new(n, MAX_INFLIGHT),
             next_seq: ChunkSeq(0),
             obs: StreamObserver::new(n, cfg.n_chunks as usize),
             cfg,
@@ -124,10 +125,6 @@ impl PullProtocol {
         self.nodes.get_mut(node.index()).and_then(Option::as_mut)
     }
 
-    fn latest(&self, now: SimTime) -> Option<ChunkSeq> {
-        self.cfg.latest_at(now).map(ChunkSeq)
-    }
-
     fn send_bufmaps(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
         let Some(st) = self.nodes[node.index()].as_ref() else {
             return;
@@ -139,7 +136,7 @@ impl PullProtocol {
     }
 
     fn pull_loop(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
-        let Some(latest) = self.latest(ctx.now()) else {
+        let Some(latest) = latest_at(ctx.now(), self.cfg.n_chunks) else {
             return;
         };
         // Gather the neighbor list once per tick (stack-allocated for the
@@ -149,8 +146,6 @@ impl PullProtocol {
         if neighbors.is_empty() {
             return;
         }
-        let timeout = self.cfg.request_timeout;
-        let max_inflight = self.cfg.max_inflight;
         let pending = &mut self.pending;
         let Some(st) = self.nodes.get_mut(node.index()).and_then(Option::as_mut) else {
             return;
@@ -158,7 +153,7 @@ impl PullProtocol {
         if latest < st.first_seq {
             return;
         }
-        let budget = max_inflight.saturating_sub(pending.len(node.index()));
+        let budget = MAX_INFLIGHT.saturating_sub(pending.len(node.index()));
         if budget == 0 {
             return;
         }
@@ -202,7 +197,7 @@ impl PullProtocol {
                 ctx.send_control(node, p, PullMsg::Request { seq }, "pull.request");
                 ctx.set_timer(
                     node,
-                    timeout,
+                    REQUEST_TIMEOUT,
                     PullTimer::RequestTimeout { seq, provider: p },
                 );
             }
@@ -221,7 +216,7 @@ impl Protocol for PullProtocol {
         let session_seq = if node == NodeId(0) {
             ChunkSeq(0)
         } else {
-            self.latest(ctx.now()).unwrap_or(ChunkSeq(0))
+            latest_at(ctx.now(), self.cfg.n_chunks).unwrap_or(ChunkSeq(0))
         };
         self.nodes[node.index()] = Some(PullNode {
             buffer: BufferMap::new(self.cfg.n_chunks),
@@ -237,9 +232,9 @@ impl Protocol for PullProtocol {
         if node == NodeId(0) {
             ctx.set_timer(node, SimDuration::ZERO, PullTimer::Generate);
         } else {
-            ctx.set_timer(node, self.cfg.pull_tick, PullTimer::PullTick);
+            ctx.set_timer(node, FETCH_TICK, PullTimer::PullTick);
         }
-        ctx.set_timer(node, self.cfg.bufmap_every, PullTimer::BufmapTick);
+        ctx.set_timer(node, BUFMAP_EVERY, PullTimer::BufmapTick);
     }
 
     fn on_message(&mut self, node: NodeId, from: NodeId, msg: PullMsg, ctx: &mut Ctx<'_, Self>) {
@@ -256,12 +251,12 @@ impl Protocol for PullProtocol {
                     .unwrap_or(false);
                 if !has {
                     ctx.send_control(node, from, PullMsg::Miss { seq }, "pull.miss");
-                } else if ctx.upload_backlog(node) > self.cfg.busy_backlog {
+                } else if ctx.upload_backlog(node) > BUSY_BACKLOG {
                     // Answer immediately instead of letting the requester
                     // burn its timeout against a saturated queue.
                     ctx.send_control(node, from, PullMsg::Busy { seq }, "pull.miss");
                 } else {
-                    ctx.send_data(node, from, PullMsg::Data { seq }, self.cfg.chunk_size);
+                    ctx.send_data(node, from, PullMsg::Data { seq }, CHUNK_SIZE);
                 }
             }
             PullMsg::Data { seq } => {
@@ -311,16 +306,16 @@ impl Protocol for PullProtocol {
                     st.buffer.insert(seq);
                 }
                 if self.next_seq.0 < self.cfg.n_chunks {
-                    ctx.set_timer(node, self.cfg.chunk_interval, PullTimer::Generate);
+                    ctx.set_timer(node, CHUNK_INTERVAL, PullTimer::Generate);
                 }
             }
             PullTimer::BufmapTick => {
                 self.send_bufmaps(node, ctx);
-                ctx.set_timer(node, self.cfg.bufmap_every, PullTimer::BufmapTick);
+                ctx.set_timer(node, BUFMAP_EVERY, PullTimer::BufmapTick);
             }
             PullTimer::PullTick => {
                 self.pull_loop(node, ctx);
-                ctx.set_timer(node, self.cfg.pull_tick, PullTimer::PullTick);
+                ctx.set_timer(node, FETCH_TICK, PullTimer::PullTick);
             }
             PullTimer::RequestTimeout { seq, provider } => {
                 if self.pending.get(node.index(), seq.0) == Some(provider.0) {

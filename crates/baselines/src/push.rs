@@ -11,12 +11,13 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dco_core::buffer::BufferMap;
-use dco_core::chunk::ChunkSeq;
+use dco_core::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL, CHUNK_SIZE};
+use dco_core::proto::BUSY_BACKLOG;
 use dco_metrics::StreamObserver;
 use dco_sim::prelude::*;
 use dco_sim::smallvec::SmallVec;
 
-use crate::config::BaselineConfig;
+use crate::config::{BaselineConfig, BUFMAP_EVERY};
 use crate::mesh::MeshCore;
 
 /// Push-mesh wire messages.
@@ -106,14 +107,12 @@ impl PushProtocol {
     /// other providers run the same catch-up concurrently — the resulting
     /// duplicate deliveries are push's characteristic waste (§I (iii)).
     fn push_to(&mut self, node: NodeId, neighbor: NodeId, batch: usize, ctx: &mut Ctx<'_, Self>) {
-        let busy_cap = self.cfg.busy_backlog;
-        let chunk_size = self.cfg.chunk_size;
         // Only repair holes old enough to have fallen off the fresh-relay
         // path (≥ 4 chunk intervals). Pushing *hot* chunks from here would
         // collide with every other provider doing the same in the same
         // buffer-map round.
         let cutoff_secs = ctx.now().as_secs().saturating_sub(4);
-        let age_floor = match self.cfg.latest_at(SimTime::from_secs(cutoff_secs)) {
+        let age_floor = match latest_at(SimTime::from_secs(cutoff_secs), self.cfg.n_chunks) {
             Some(f) => f,
             None => return, // nothing is old enough to repair yet
         };
@@ -125,7 +124,7 @@ impl PushProtocol {
                 return;
             };
             st.buffer
-                .held_that_other_misses(view, ChunkSeq(0), ChunkSeq(age_floor))
+                .held_that_other_misses(view, ChunkSeq(0), age_floor)
         };
         if gap.is_empty() {
             return;
@@ -155,12 +154,12 @@ impl PushProtocol {
             };
             let view = st.views.entry(neighbor.0).or_default();
             for seq in picks {
-                if ctx.upload_backlog(node) > busy_cap {
+                if ctx.upload_backlog(node) > BUSY_BACKLOG {
                     break; // no available upload bandwidth: stop pushing
                 }
                 view.insert(seq);
                 sent += 1;
-                ctx.send_data(node, neighbor, PushMsg::Data { seq }, chunk_size);
+                ctx.send_data(node, neighbor, PushMsg::Data { seq }, CHUNK_SIZE);
             }
         }
         self.catchup_sends += sent;
@@ -172,8 +171,6 @@ impl PushProtocol {
     /// unbounded flooding produces (the receivers relay onward themselves).
     fn relay_fresh(&mut self, node: NodeId, seq: ChunkSeq, ctx: &mut Ctx<'_, Self>) {
         const RELAY_FANOUT: usize = 3;
-        let busy_cap = self.cfg.busy_backlog;
-        let chunk_size = self.cfg.chunk_size;
         // Gather the neighbor list once (stack-allocated for the common
         // degrees) so the rotating cursor can index it while the node state
         // is mutated.
@@ -189,14 +186,14 @@ impl PushProtocol {
             let start = st.cursor % neighbors.len();
             st.cursor = st.cursor.wrapping_add(1);
             for off in 0..neighbors.len() {
-                if sent >= RELAY_FANOUT as u64 || ctx.upload_backlog(node) > busy_cap {
+                if sent >= RELAY_FANOUT as u64 || ctx.upload_backlog(node) > BUSY_BACKLOG {
                     break;
                 }
                 let nb = neighbors[(start + off) % neighbors.len()];
                 let view = st.views.entry(nb.0).or_default();
                 if !view.has(seq) {
                     view.insert(seq);
-                    ctx.send_data(node, nb, PushMsg::Data { seq }, chunk_size);
+                    ctx.send_data(node, nb, PushMsg::Data { seq }, CHUNK_SIZE);
                     sent += 1;
                 }
             }
@@ -219,7 +216,7 @@ impl Protocol for PushProtocol {
         if node == NodeId(0) {
             ctx.set_timer(node, SimDuration::ZERO, PushTimer::Generate);
         }
-        ctx.set_timer(node, self.cfg.bufmap_every, PushTimer::BufmapTick);
+        ctx.set_timer(node, BUFMAP_EVERY, PushTimer::BufmapTick);
     }
 
     fn on_message(&mut self, node: NodeId, from: NodeId, msg: PushMsg, ctx: &mut Ctx<'_, Self>) {
@@ -277,7 +274,7 @@ impl Protocol for PushProtocol {
                 // like a freshly received one.
                 self.relay_fresh(node, seq, ctx);
                 if self.next_seq.0 < self.cfg.n_chunks {
-                    ctx.set_timer(node, self.cfg.chunk_interval, PushTimer::Generate);
+                    ctx.set_timer(node, CHUNK_INTERVAL, PushTimer::Generate);
                 }
             }
             PushTimer::BufmapTick => {
@@ -294,7 +291,7 @@ impl Protocol for PushProtocol {
                         );
                     }
                 }
-                ctx.set_timer(node, self.cfg.bufmap_every, PushTimer::BufmapTick);
+                ctx.set_timer(node, BUFMAP_EVERY, PushTimer::BufmapTick);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! tree generates **zero** extra overhead: data only, no signalling.
 
 use dco_core::buffer::BufferMap;
-use dco_core::chunk::ChunkSeq;
+use dco_core::chunk::{ChunkSeq, CHUNK_INTERVAL, CHUNK_SIZE};
 use dco_metrics::StreamObserver;
 use dco_sim::prelude::*;
 
@@ -112,7 +112,7 @@ impl TreeProtocol {
 
     fn forward_to_children(&mut self, node: NodeId, seq: ChunkSeq, ctx: &mut Ctx<'_, Self>) {
         for child in self.children[node.index()].clone() {
-            ctx.send_data(node, child, TreeMsg::Data { seq }, self.cfg.chunk_size);
+            ctx.send_data(node, child, TreeMsg::Data { seq }, CHUNK_SIZE);
         }
     }
 
@@ -204,7 +204,7 @@ impl Protocol for TreeProtocol {
         }
         self.forward_to_children(node, seq, ctx);
         if self.next_seq.0 < self.cfg.n_chunks {
-            ctx.set_timer(node, self.cfg.chunk_interval, TreeTimer::Generate);
+            ctx.set_timer(node, CHUNK_INTERVAL, TreeTimer::Generate);
         }
     }
 

@@ -10,7 +10,7 @@ use dco_bench::timing::{bench, header};
 use dco_core::buffer::BufferMap;
 use dco_core::chunk::ChunkSeq;
 use dco_core::index::{ChunkIndex, IndexTable, SelectPolicy};
-use dco_dht::chord::{ChordConfig, ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep};
+use dco_dht::chord::{ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep};
 use dco_dht::hash::{hash_name, hash_node};
 use dco_dht::id::{ChordId, Peer};
 use dco_metrics::{RetainedObserver, StreamObserver};
@@ -66,7 +66,7 @@ fn bench_chord_routing() {
     let peers: Vec<Peer> = (0..512)
         .map(|i| Peer::new(hash_node(NodeId(i)), NodeId(i)))
         .collect();
-    let net = ChordNet::build_static(&peers, ChordConfig::default());
+    let net = ChordNet::build_static(&peers, 8);
     let mut rng = SimRng::seed_from_u64(1);
     bench("chord/route_walk_512", 1000, || {
         let key = ChordId(rng.gen());
@@ -127,14 +127,10 @@ fn bench_chord_routing() {
 ///   probes its tombstones and offers the member to its successor list and
 ///   its 64 fingers (a few runs of one peer each).
 fn bench_ring_repair() {
-    let cfg = ChordConfig {
-        successor_list_len: 32,
-        ..ChordConfig::default()
-    };
     let mut ring: Vec<Peer> = (0..512)
         .map(|i| Peer::new(hash_node(NodeId(i)), NodeId(i)))
         .collect();
-    let mut net = ChordNet::build_static(&ring, cfg);
+    let mut net = ChordNet::build_static(&ring, 32);
     ring.sort_by_key(|p| p.id);
     let (a, succ) = (ring[0], ring[1]);
     let list: Vec<Peer> = ring[2..34].to_vec();

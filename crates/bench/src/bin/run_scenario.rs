@@ -1,12 +1,17 @@
-//! Ad-hoc scenario runner: one protocol, one parameter set, all four
-//! metrics (plus playback QoS) printed — the quickest way to poke at the
-//! system without writing code.
+//! Ad-hoc scenario runner: one protocol, one parameter set, the §IV
+//! metrics printed (mean mesh delay, fill at +2 s and at the fill offset,
+//! extra overhead, data transmissions, % received) — the quickest way to
+//! poke at the system without writing code.
 //!
 //! ```text
-//! run_scenario --method dco --nodes 128 --chunks 60 --neighbors 16 \
-//!              [--churn <mean-life-s>] [--horizon <s>] [--seed <n>] \
-//!              [--full-model]
+//! run_scenario [--method dco|pull|push|tree|tree*] [--nodes N] [--chunks C] \
+//!              [--neighbors K] [--churn <mean-life-s>] [--horizon <s>] \
+//!              [--seed <n>] [--tree-degree D]
 //! ```
+//!
+//! Every flag is optional: the defaults are DCO, 128 nodes, 60 chunks,
+//! 16 neighbors, no churn, a 160 s horizon and seed 42. A bad flag exits 2
+//! with the usage line.
 
 use dco_bench::{run, Method, RunParams};
 use dco_sim::time::{SimDuration, SimTime};
@@ -72,7 +77,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: run_scenario --method dco|pull|push|tree --nodes N --chunks C --neighbors K [--churn LIFE] [--horizon S] [--seed N] [--tree-degree D]");
+            eprintln!("usage: run_scenario [--method dco|pull|push|tree|tree*] [--nodes N] [--chunks C] [--neighbors K] [--churn LIFE] [--horizon S] [--seed N] [--tree-degree D]");
             std::process::exit(2);
         }
     };

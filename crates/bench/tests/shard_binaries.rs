@@ -16,6 +16,10 @@ fn sweep() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dco-sweep"))
 }
 
+fn run_scenario() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+}
+
 /// `dco-perf --shards 2` at a toy population: two worker processes must
 /// fold back to the single-process canonical run, and the binary must say
 /// so on its one line per population. This is the per-push CI smoke in
@@ -108,6 +112,23 @@ fn dco_perf_refuses_removed_modes() {
             "{argv:?}: {err}"
         );
     }
+}
+
+/// `run_scenario` has no `--full-model` flag (nor any flag it does not
+/// list): it exits 2 with its usage line, which names every method.
+#[test]
+fn run_scenario_refuses_unknown_flags() {
+    let out = run_scenario()
+        .arg("--full-model")
+        .output()
+        .expect("spawn run_scenario");
+    assert_eq!(out.status.code(), Some(2), "--full-model must be refused");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --full-model"), "{err}");
+    assert!(
+        err.contains("usage: run_scenario [--method dco|pull|push|tree|tree*]"),
+        "{err}"
+    );
 }
 
 /// `dco-sweep` runs every cell on its in-process thread pool; it has no

@@ -12,9 +12,26 @@ use core::fmt;
 
 use dco_dht::hash::hash_name;
 use dco_dht::id::ChordId;
+use dco_sim::msg::SizeBits;
 use dco_sim::time::{SimDuration, SimTime};
 
-/// Dense chunk sequence number (chunk `k` is generated at `start + k·len`).
+/// Media per chunk, and so the server's emission period (§IV: 1-second
+/// chunks).
+pub const CHUNK_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Chunk payload size (§IV: 300 kb).
+pub const CHUNK_SIZE: SizeBits = SizeBits::from_kilobits(300);
+
+/// The newest chunk of an `n_chunks`-chunk stream generated at or before
+/// `now` (`None` when the stream is empty). Chunk `k` is generated at
+/// `k · CHUNK_INTERVAL`.
+pub fn latest_at(now: SimTime, n_chunks: u32) -> Option<ChunkSeq> {
+    let k = (now.as_micros() / CHUNK_INTERVAL.as_micros()) as u32;
+    n_chunks.checked_sub(1).map(|last| ChunkSeq(k.min(last)))
+}
+
+/// Dense chunk sequence number (chunk `k` is generated at
+/// `k · CHUNK_INTERVAL`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChunkSeq(pub u32);
 
@@ -52,19 +69,17 @@ pub struct ChunkNamer {
     /// Wall-clock-style timestamp of chunk 0 (the paper uses
     /// `NBC20090101013001`; we keep a numeric epoch-second base).
     base_timestamp: u64,
-    /// Seconds of media per chunk (for the timestamp step).
-    chunk_len: SimDuration,
     /// Pre-computed ring IDs per sequence number.
     ids: Vec<ChordId>,
 }
 
 impl ChunkNamer {
-    /// A namer for `n_chunks` chunks of channel `channel`.
-    pub fn new(channel: &str, base_timestamp: u64, chunk_len: SimDuration, n_chunks: u32) -> Self {
+    /// A namer for `n_chunks` chunks of channel `channel`, chunk 0
+    /// stamped `base_timestamp`.
+    pub fn new(channel: &str, base_timestamp: u64, n_chunks: u32) -> Self {
         let mut namer = ChunkNamer {
             channel: channel.to_string(),
             base_timestamp,
-            chunk_len,
             ids: Vec::with_capacity(n_chunks as usize),
         };
         for seq in 0..n_chunks {
@@ -77,7 +92,7 @@ impl ChunkNamer {
     /// The paper-style default: channel `CNN`, 1-second chunks.
     pub fn paper_default(n_chunks: u32) -> Self {
         // 2009-01-01 01:30:01 UTC, the paper's example timestamp.
-        ChunkNamer::new("CNN", 1_230_773_401, SimDuration::from_secs(1), n_chunks)
+        ChunkNamer::new("CNN", 1_230_773_401, n_chunks)
     }
 
     /// The channel name.
@@ -92,7 +107,7 @@ impl ChunkNamer {
 
     /// The unique name of chunk `seq`: channel + generation timestamp.
     pub fn name_of(&self, seq: ChunkSeq) -> String {
-        let ts = self.base_timestamp + u64::from(seq.0) * self.chunk_len.as_secs().max(1);
+        let ts = self.base_timestamp + u64::from(seq.0) * CHUNK_INTERVAL.as_secs();
         format!("{}{}", self.channel, ts)
     }
 
@@ -100,16 +115,6 @@ impl ChunkNamer {
     #[inline]
     pub fn id_of(&self, seq: ChunkSeq) -> ChordId {
         self.ids[seq.index()]
-    }
-
-    /// The newest chunk generated at or before `now` (`None` before chunk 0
-    /// exists or when `n_chunks == 0`).
-    pub fn latest_at(&self, now: SimTime) -> Option<ChunkSeq> {
-        if self.ids.is_empty() || self.chunk_len.is_zero() {
-            return None;
-        }
-        let k = (now.as_micros() / self.chunk_len.as_micros()) as u32;
-        Some(ChunkSeq(k.min(self.n_chunks() - 1)))
     }
 }
 
@@ -137,22 +142,25 @@ mod tests {
     }
 
     #[test]
-    fn generation_schedule() {
-        let n = ChunkNamer::paper_default(100);
-        assert_eq!(n.latest_at(SimTime::from_millis(500)), Some(ChunkSeq(0)));
-        assert_eq!(n.latest_at(SimTime::from_secs(42)), Some(ChunkSeq(42)));
+    fn latest_at_schedule() {
+        assert_eq!(latest_at(SimTime::ZERO, 10), Some(ChunkSeq(0)));
+        assert_eq!(latest_at(SimTime::from_millis(500), 100), Some(ChunkSeq(0)));
         assert_eq!(
-            n.latest_at(SimTime::from_secs(500)),
-            Some(ChunkSeq(99)),
-            "clamped to last chunk"
+            latest_at(SimTime::from_millis(5_500), 10),
+            Some(ChunkSeq(5))
         );
+        assert_eq!(latest_at(SimTime::from_secs(42), 100), Some(ChunkSeq(42)));
+        assert_eq!(
+            latest_at(SimTime::from_secs(50), 10),
+            Some(ChunkSeq(9)),
+            "clamped"
+        );
+        assert_eq!(latest_at(SimTime::from_secs(5), 0), None, "empty stream");
     }
 
     #[test]
     fn empty_namer() {
-        let n = ChunkNamer::paper_default(0);
-        assert_eq!(n.latest_at(SimTime::from_secs(5)), None);
-        assert_eq!(n.n_chunks(), 0);
+        assert_eq!(ChunkNamer::paper_default(0).n_chunks(), 0);
     }
 
     #[test]

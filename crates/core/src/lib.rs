@@ -46,6 +46,6 @@ pub mod wire;
 pub use buffer::BufferMap;
 pub use chunk::{ChunkNamer, ChunkSeq};
 pub use index::{ChunkIndex, IndexTable, SelectPolicy};
-pub use longevity::{Covariates, CoxModel};
+pub use longevity::Covariates;
 pub use proto::{DcoConfig, DcoMsg, DcoProtocol, DcoTimer, Role, TierMode};
-pub use window::{PrefetchWindow, WindowConfig};
+pub use window::PrefetchWindow;

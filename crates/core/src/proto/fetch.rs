@@ -5,9 +5,13 @@ use dco_dht::chord::FIND_TTL;
 use dco_sim::prelude::*;
 use dco_sim::smallvec::SmallVec;
 
-use crate::chunk::ChunkSeq;
+use crate::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL, CHUNK_SIZE};
+use crate::window::BASE_CHUNKS;
 
-use super::{DcoMsg, DcoProtocol, DcoTimer, Role};
+use super::{
+    DcoMsg, DcoProtocol, DcoTimer, Role, BUSY_BACKLOG, FETCH_TICK, MAX_INFLIGHT, REPORT_BATCH,
+    REPORT_EVERY, REQUEST_TIMEOUT,
+};
 
 impl DcoProtocol {
     // ------------------------------------------------------------------
@@ -15,7 +19,7 @@ impl DcoProtocol {
     // ------------------------------------------------------------------
 
     /// Algorithm 1 lines 1–4: "if N needs to buffer the next chunk, generate
-    /// the chunk ID and send Lookup(ID)". Runs every `fetch_tick`; issues up
+    /// the chunk ID and send Lookup(ID)". Runs every [`FETCH_TICK`]; issues up
     /// to the in-flight budget of lookups for the oldest missing chunks in
     /// the prefetch window.
     pub(super) fn handle_fetch_tick(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
@@ -23,8 +27,8 @@ impl DcoProtocol {
             return;
         }
         let now = ctx.now();
-        ctx.set_timer(node, self.cfg.fetch_tick, DcoTimer::FetchTick);
-        let Some(latest) = self.namer.latest_at(now) else {
+        ctx.set_timer(node, FETCH_TICK, DcoTimer::FetchTick);
+        let Some(latest) = latest_at(now, self.cfg.n_chunks) else {
             return;
         };
         let st = self.state(node).expect("checked above");
@@ -42,21 +46,21 @@ impl DcoProtocol {
         let window = if self.cfg.adaptive_window {
             st.window.size_chunks()
         } else {
-            self.cfg.window.base_chunks
+            BASE_CHUNKS
         };
         let inflight = self.pending.len(node.index()) + self.lookups.len(node.index());
-        let budget = self.cfg.max_inflight.saturating_sub(inflight);
+        let budget = MAX_INFLIGHT.saturating_sub(inflight);
         if budget == 0 {
             return;
         }
-        let elapsed_chunks = (now.saturating_since(st.joined_at).as_micros()
-            / self.cfg.chunk_interval.as_micros().max(1)) as u32;
+        let elapsed_chunks =
+            (now.saturating_since(st.joined_at).as_micros() / CHUNK_INTERVAL.as_micros()) as u32;
         let playhead = ChunkSeq(st.session_seq.0.saturating_add(elapsed_chunks));
         let end = ChunkSeq(playhead.0.saturating_add(window).min(latest.0));
         let session_start = st.session_seq.max(st.first_seq);
         // The selection stays inline (in-flight budgets are single-digit)
         // and scans the buffer map lazily — this tick fires on every node
-        // every `fetch_tick` and must not allocate on the common all-caught-
+        // every `FETCH_TICK` and must not allocate on the common all-caught-
         // up path.
         let mut wanted: SmallVec<ChunkSeq, 8> = SmallVec::new();
         if end >= session_start {
@@ -101,12 +105,11 @@ impl DcoProtocol {
         ctx: &mut Ctx<'_, Self>,
     ) {
         let key = self.key_of(seq);
-        let timeout = self.cfg.request_timeout;
         let Some((role, coordinator)) = self.state(node).map(|st| (st.role, st.coordinator)) else {
             return;
         };
         self.lookups.insert(node.index(), seq.0, ());
-        ctx.set_timer(node, timeout, DcoTimer::LookupTimeout { seq });
+        ctx.set_timer(node, REQUEST_TIMEOUT, DcoTimer::LookupTimeout { seq });
         if role == Role::Client {
             if let Some(c) = coordinator {
                 ctx.send_control(node, c, DcoMsg::ClientLookup { seq, exclude }, "dco.lookup");
@@ -128,7 +131,6 @@ impl DcoProtocol {
         provider: Option<NodeId>,
         ctx: &mut Ctx<'_, Self>,
     ) {
-        let timeout = self.cfg.request_timeout;
         let Some(st) = self.state_mut(node) else {
             return;
         };
@@ -152,7 +154,11 @@ impl DcoProtocol {
         }
         self.pending.insert(node.index(), seq.0, p.0);
         ctx.send_control(node, p, DcoMsg::ChunkRequest { seq }, "dco.request");
-        ctx.set_timer(node, timeout, DcoTimer::RequestTimeout { seq, provider: p });
+        ctx.set_timer(
+            node,
+            REQUEST_TIMEOUT,
+            DcoTimer::RequestTimeout { seq, provider: p },
+        );
     }
 
     /// Provider side (Algorithm 1 lines 10–14): serve if the chunk is held
@@ -174,9 +180,9 @@ impl DcoProtocol {
             ctx.send_control(node, from, DcoMsg::NoChunk { seq }, "dco.busy");
             return;
         }
-        if ctx.upload_backlog(node) <= self.cfg.busy_backlog {
+        if ctx.upload_backlog(node) <= BUSY_BACKLOG {
             self.serves[node.index()] += 1;
-            ctx.send_data(node, from, DcoMsg::ChunkData { seq }, self.cfg.chunk_size);
+            ctx.send_data(node, from, DcoMsg::ChunkData { seq }, CHUNK_SIZE);
         } else {
             ctx.send_control(node, from, DcoMsg::Busy { seq }, "dco.busy");
         }
@@ -249,7 +255,7 @@ impl DcoProtocol {
         if self.cfg.static_ring || self.state(node).is_none() {
             return;
         }
-        ctx.set_timer(node, self.cfg.report_every, DcoTimer::ReportTick);
+        ctx.set_timer(node, REPORT_EVERY, DcoTimer::ReportTick);
         let (held, cursor) = {
             let st = self.state(node).expect("checked above");
             let held: Vec<ChunkSeq> = st.buffer.iter_held().collect();
@@ -261,11 +267,11 @@ impl DcoProtocol {
         // The server is the availability anchor ("the DHT always returns a
         // chunk provider"): it refreshes its whole catalogue within ~15
         // report periods, so a crashed coordinator's arc is repopulated
-        // quickly. Peers rotate at the configured trickle.
+        // quickly. Peers rotate `REPORT_BATCH` chunks per tick.
         let batch = if self.is_server(node) {
-            (self.cfg.n_chunks / 15 + 1).max(self.cfg.report_batch)
+            (self.cfg.n_chunks / 15 + 1).max(REPORT_BATCH)
         } else {
-            self.cfg.report_batch
+            REPORT_BATCH
         };
         let batch = batch.min(held.len() as u32);
         for k in 0..batch {

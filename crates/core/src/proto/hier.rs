@@ -8,8 +8,12 @@ use dco_sim::prelude::*;
 
 use crate::chunk::ChunkSeq;
 use crate::index::ChunkIndex;
+use crate::longevity::longevity_probability;
 
-use super::{DcoMsg, DcoProtocol, DcoTimer, Role, TierMode};
+use super::{
+    DcoMsg, DcoProtocol, DcoTimer, Role, TierMode, FIX_FINGERS_EVERY, JOIN_RETRY_EVERY,
+    STABILIZE_EVERY,
+};
 
 impl DcoProtocol {
     /// Server side: a joiner asked for a coordinator — assign round-robin
@@ -130,14 +134,13 @@ impl DcoProtocol {
         };
         ctx.set_timer(node, check_every, DcoTimer::TierCheck);
         let now = ctx.now();
-        let cox = self.cfg.cox.clone();
         let Some(st) = self.state_mut(node) else {
             return;
         };
         match st.role {
             Role::Client => {
                 let uptime = now.saturating_since(st.joined_at).as_secs_f64();
-                let p = cox.longevity_probability(uptime, st.covariates);
+                let p = longevity_probability(uptime, st.covariates);
                 if p >= stable_threshold {
                     if let Some(c) = st.coordinator {
                         ctx.send_control(
@@ -178,9 +181,9 @@ impl DcoProtocol {
         self.chord
             .join(Peer::new(hash_node(node), node), from, &mut out);
         self.drain(out, ctx);
-        ctx.set_timer(node, self.cfg.join_retry_every, DcoTimer::JoinRetry);
-        ctx.set_timer(node, self.cfg.stabilize_every, DcoTimer::Stabilize);
-        ctx.set_timer(node, self.cfg.fix_fingers_every, DcoTimer::FixFingers);
+        ctx.set_timer(node, JOIN_RETRY_EVERY, DcoTimer::JoinRetry);
+        ctx.set_timer(node, STABILIZE_EVERY, DcoTimer::Stabilize);
+        ctx.set_timer(node, FIX_FINGERS_EVERY, DcoTimer::FixFingers);
     }
 
     /// Server side: a promoted node finished joining the ring — add it to

@@ -30,7 +30,7 @@ mod ring;
 #[cfg(test)]
 mod tests;
 
-use dco_dht::chord::{ChordConfig, ChordMsg, ChordNet};
+use dco_dht::chord::{ChordMsg, ChordNet};
 use dco_dht::hash::hash_node;
 use dco_dht::id::{ChordId, Peer};
 use dco_metrics::StreamObserver;
@@ -42,8 +42,36 @@ use dco_sim::smallvec::SmallVec;
 use crate::buffer::BufferMap;
 use crate::chunk::{ChunkNamer, ChunkSeq};
 use crate::index::{ChunkIndex, IndexTable, SelectPolicy};
-use crate::longevity::{Covariates, CoxModel};
-use crate::window::{PrefetchWindow, WindowConfig};
+use crate::longevity::Covariates;
+use crate::window::PrefetchWindow;
+
+/// Period of the fetch loop (DCO) and the pull loop (the pull baseline).
+pub const FETCH_TICK: SimDuration = SimDuration::from_millis(250);
+/// Time a node waits for a lookup answer or a requested chunk.
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
+/// Fetches (lookups plus chunk requests) a node keeps in flight at once.
+pub const MAX_INFLIGHT: usize = 4;
+/// Upload backlog beyond which a provider answers `Busy` (a push sender
+/// defers instead).
+pub const BUSY_BACKLOG: SimDuration = SimDuration::from_millis(1_500);
+
+/// Stream rate (§IV): the bandwidth floor a provider must clear.
+const STREAM_RATE: Kbps = Kbps(300);
+/// Averaging horizon of the available upload bandwidth a node advertises.
+const AVAIL_HORIZON: SimDuration = SimDuration::from_secs(1);
+/// Stabilize period of the dynamic ring.
+const STABILIZE_EVERY: SimDuration = SimDuration::from_millis(500);
+/// Finger-refresh period of the dynamic ring.
+const FIX_FINGERS_EVERY: SimDuration = SimDuration::from_millis(500);
+/// Retry period of an unfinished ring join.
+const JOIN_RETRY_EVERY: SimDuration = SimDuration::from_secs(2);
+/// Period of the continuous chunk report (§III-B: "it continuously reports
+/// its buffered chunks to the DHT"); dynamic ring only, where it
+/// repopulates a new coordinator's index table after its predecessor
+/// failed.
+const REPORT_EVERY: SimDuration = SimDuration::from_secs(1);
+/// Held chunks a peer re-registers per report tick (rotating).
+const REPORT_BATCH: u32 = 3;
 
 /// Coordinator-tier organization.
 #[derive(Clone, Debug)]
@@ -63,57 +91,25 @@ pub enum TierMode {
     },
 }
 
-/// DCO configuration.
+/// DCO configuration: the settings §IV varies. The stream and protocol
+/// timing are fixed (the constants above and DESIGN.md "Fixed parameters").
 #[derive(Clone, Debug)]
 pub struct DcoConfig {
     /// Total nodes including the server.
     pub n_nodes: u32,
     /// Chunks the server emits.
     pub n_chunks: u32,
-    /// Chunk payload size.
-    pub chunk_size: SizeBits,
-    /// Chunk emission interval.
-    pub chunk_interval: SimDuration,
-    /// Stream rate: the bandwidth floor a provider must clear.
-    pub stream_rate: Kbps,
     /// Neighbor count = Chord successor-list length (§IV sweeps 8–64).
     pub neighbors: usize,
     /// Provider selection policy.
     pub select_policy: SelectPolicy,
-    /// Fetch-loop period.
-    pub fetch_tick: SimDuration,
-    /// Chunk request / lookup timeout.
-    pub request_timeout: SimDuration,
-    /// Maximum concurrent fetches (lookups + chunk requests) per node.
-    pub max_inflight: usize,
     /// Build a converged ring up front and skip maintenance timers — valid
     /// only without churn (matches the paper's static figures).
     pub static_ring: bool,
-    /// Stabilize period (dynamic ring).
-    pub stabilize_every: SimDuration,
-    /// Finger-refresh period (dynamic ring).
-    pub fix_fingers_every: SimDuration,
-    /// Join retry period (dynamic ring).
-    pub join_retry_every: SimDuration,
     /// Tier organization.
     pub tier: TierMode,
-    /// Prefetch-window parameters (Eq. 2).
-    pub window: WindowConfig,
     /// Apply Eq. 2 adaptation (ablation switch).
     pub adaptive_window: bool,
-    /// Cox longevity model (Eq. 1) for stable-node identification.
-    pub cox: CoxModel,
-    /// Averaging horizon for advertised available bandwidth.
-    pub avail_horizon: SimDuration,
-    /// Upload backlog beyond which a provider answers `Busy`.
-    pub busy_backlog: SimDuration,
-    /// Period of the continuous chunk-report refresh (§III-B: "it
-    /// continuously reports its buffered chunks to the DHT"). Only active
-    /// with a dynamic ring — it is what repopulates a new coordinator's
-    /// index table after its predecessor failed.
-    pub report_every: SimDuration,
-    /// Held chunks re-registered per report tick (rotating).
-    pub report_batch: u32,
 }
 
 impl DcoConfig {
@@ -123,26 +119,11 @@ impl DcoConfig {
         DcoConfig {
             n_nodes,
             n_chunks,
-            chunk_size: SizeBits::from_kilobits(300),
-            chunk_interval: SimDuration::from_secs(1),
-            stream_rate: Kbps(300),
             neighbors: 32,
             select_policy: SelectPolicy::SufficientBandwidth,
-            fetch_tick: SimDuration::from_millis(250),
-            request_timeout: SimDuration::from_millis(2_000),
-            max_inflight: 4,
             static_ring: true,
-            stabilize_every: SimDuration::from_millis(500),
-            fix_fingers_every: SimDuration::from_millis(500),
-            join_retry_every: SimDuration::from_secs(2),
             tier: TierMode::Flat,
-            window: WindowConfig::default(),
             adaptive_window: true,
-            cox: CoxModel::default(),
-            avail_horizon: SimDuration::from_secs(1),
-            busy_backlog: SimDuration::from_millis(1_500),
-            report_every: SimDuration::from_secs(1),
-            report_batch: 3,
         }
     }
 
@@ -319,7 +300,7 @@ pub enum Role {
 /// nodes in [`DcoProtocol::pending`] / [`DcoProtocol::lookups`]
 /// ([`SlotTable`] slabs indexed by node), so a 100k-node run does not pay
 /// 200k hash tables' worth of allocations for tables that hold at most
-/// `max_inflight` entries.
+/// [`MAX_INFLIGHT`] entries.
 struct NodeState {
     role: Role,
     buffer: BufferMap,
@@ -357,7 +338,7 @@ struct NodeState {
 impl NodeState {
     fn new(
         role: Role,
-        cfg: &DcoConfig,
+        n_chunks: u32,
         my_down: Kbps,
         now: SimTime,
         first_seq: ChunkSeq,
@@ -365,11 +346,11 @@ impl NodeState {
     ) -> Self {
         NodeState {
             role,
-            buffer: BufferMap::new(cfg.n_chunks),
+            buffer: BufferMap::new(n_chunks),
             first_seq,
             session_seq,
             index: IndexTable::new(),
-            window: PrefetchWindow::new(cfg.window.clone(), my_down),
+            window: PrefetchWindow::new(my_down),
             joined_at: now,
             coordinator: None,
             stable_clients: SmallVec::new(),
@@ -393,7 +374,7 @@ pub struct DcoProtocol {
     nodes: Vec<Option<NodeState>>,
     /// Chunk requests awaiting data: node → (seq → provider's raw id).
     /// Pooled for all nodes in one slab; bounded per node by
-    /// `max_inflight`.
+    /// [`MAX_INFLIGHT`].
     pending: SlotTable<u32>,
     /// Lookups awaiting a Provider answer: node → seq set.
     lookups: SlotTable<()>,
@@ -420,25 +401,22 @@ pub struct DcoProtocol {
 impl DcoProtocol {
     /// Builds the protocol for the given configuration.
     pub fn new(cfg: DcoConfig) -> Self {
-        let namer = ChunkNamer::new("CNN", 1_230_773_401, cfg.chunk_interval, cfg.n_chunks);
-        let chord_cfg = ChordConfig {
-            successor_list_len: cfg.neighbors.max(1),
-            ..ChordConfig::default()
-        };
+        let namer = ChunkNamer::paper_default(cfg.n_chunks);
+        let succ_len = cfg.neighbors.max(1);
         let chord = if cfg.static_ring {
             let peers: Vec<Peer> = (0..cfg.n_nodes)
                 .map(|i| Peer::new(hash_node(NodeId(i)), NodeId(i)))
                 .collect();
             match cfg.tier {
-                TierMode::Flat => ChordNet::build_static(&peers, chord_cfg),
+                TierMode::Flat => ChordNet::build_static(&peers, succ_len),
                 TierMode::Hierarchical { .. } => {
                     // Static hierarchical start: only the server is in the
                     // ring; everyone else attaches as a client.
-                    ChordNet::build_static(&peers[..1], chord_cfg)
+                    ChordNet::build_static(&peers[..1], succ_len)
                 }
             }
         } else {
-            ChordNet::new(cfg.n_nodes as usize, chord_cfg)
+            ChordNet::new(cfg.n_nodes as usize, succ_len)
         };
         let n = cfg.n_nodes as usize;
         DcoProtocol {
@@ -446,8 +424,8 @@ impl DcoProtocol {
             namer,
             chord,
             nodes: (0..n).map(|_| None).collect(),
-            pending: SlotTable::new(n, cfg.max_inflight.max(1)),
-            lookups: SlotTable::new(n, cfg.max_inflight.max(1)),
+            pending: SlotTable::new(n, MAX_INFLIGHT),
+            lookups: SlotTable::new(n, MAX_INFLIGHT),
             clients: ListSlab::new(n, 0),
             next_seq: ChunkSeq(0),
             coordinator_pool: vec![NodeId(0)],
@@ -458,11 +436,6 @@ impl DcoProtocol {
             serves: vec![0; n],
             cfg,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &DcoConfig {
-        &self.cfg
     }
 
     /// The chunk namer (sequence ↔ name/ID mapping).

@@ -6,10 +6,13 @@ use dco_dht::hash::hash_node;
 use dco_dht::id::{ChordId, Peer};
 use dco_sim::prelude::*;
 
-use crate::chunk::ChunkSeq;
+use crate::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL};
 use crate::index::ChunkIndex;
 
-use super::{DcoMsg, DcoProtocol, DcoTimer, NodeState, Role, TierMode};
+use super::{
+    DcoMsg, DcoProtocol, DcoTimer, NodeState, Role, TierMode, AVAIL_HORIZON, FETCH_TICK,
+    FIX_FINGERS_EVERY, JOIN_RETRY_EVERY, REPORT_EVERY, STABILIZE_EVERY, STREAM_RATE,
+};
 
 /// Hub stream id for the per-node provider-selection RNG used in sharded
 /// runs (any fixed value works; it only has to differ from other streams).
@@ -30,7 +33,7 @@ impl DcoProtocol {
         let session_seq = if self.is_server(node) {
             ChunkSeq(0)
         } else {
-            self.namer.latest_at(now).unwrap_or(ChunkSeq(0))
+            latest_at(now, self.cfg.n_chunks).unwrap_or(ChunkSeq(0))
         };
         let role = if self.is_server(node) {
             Role::Server
@@ -43,7 +46,7 @@ impl DcoProtocol {
         let down = ctx.download_rate(node);
         self.nodes[node.index()] = Some(NodeState::new(
             role,
-            &self.cfg,
+            self.cfg.n_chunks,
             down,
             now,
             first_seq,
@@ -62,7 +65,7 @@ impl DcoProtocol {
                 // fingers like everyone else, and keeps re-reporting its
                 // chunks so availability survives coordinator failures.
                 self.arm_ring_timers(node, ctx);
-                ctx.set_timer(node, self.cfg.report_every, DcoTimer::ReportTick);
+                ctx.set_timer(node, REPORT_EVERY, DcoTimer::ReportTick);
             }
             // Chunk 0 is generated immediately.
             ctx.set_timer(node, SimDuration::ZERO, DcoTimer::Generate);
@@ -80,7 +83,7 @@ impl DcoProtocol {
                     self.chord
                         .join(Peer::new(hash_node(node), node), NodeId(0), &mut out);
                     self.drain(out, ctx);
-                    ctx.set_timer(node, self.cfg.join_retry_every, DcoTimer::JoinRetry);
+                    ctx.set_timer(node, JOIN_RETRY_EVERY, DcoTimer::JoinRetry);
                     self.arm_ring_timers(node, ctx);
                 }
             }
@@ -90,9 +93,9 @@ impl DcoProtocol {
                 ctx.set_timer(node, check, DcoTimer::TierCheck);
             }
         }
-        ctx.set_timer(node, self.cfg.fetch_tick, DcoTimer::FetchTick);
+        ctx.set_timer(node, FETCH_TICK, DcoTimer::FetchTick);
         if !self.cfg.static_ring {
-            ctx.set_timer(node, self.cfg.report_every, DcoTimer::ReportTick);
+            ctx.set_timer(node, REPORT_EVERY, DcoTimer::ReportTick);
         }
     }
 
@@ -158,8 +161,8 @@ impl DcoProtocol {
     }
 
     fn arm_ring_timers(&self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
-        ctx.set_timer(node, self.cfg.stabilize_every, DcoTimer::Stabilize);
-        ctx.set_timer(node, self.cfg.fix_fingers_every, DcoTimer::FixFingers);
+        ctx.set_timer(node, STABILIZE_EVERY, DcoTimer::Stabilize);
+        ctx.set_timer(node, FIX_FINGERS_EVERY, DcoTimer::FixFingers);
     }
 
     pub(super) fn tier_check_period(&self) -> SimDuration {
@@ -242,7 +245,7 @@ impl DcoProtocol {
         let mut out = Outbox::new();
         self.chord.tick_stabilize(node, &mut out);
         self.drain(out, ctx);
-        ctx.set_timer(node, self.cfg.stabilize_every, DcoTimer::Stabilize);
+        ctx.set_timer(node, STABILIZE_EVERY, DcoTimer::Stabilize);
     }
 
     pub(super) fn handle_fix_fingers_tick(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
@@ -252,7 +255,7 @@ impl DcoProtocol {
         let mut out = Outbox::new();
         self.chord.tick_fix_fingers(node, &mut out);
         self.drain(out, ctx);
-        ctx.set_timer(node, self.cfg.fix_fingers_every, DcoTimer::FixFingers);
+        ctx.set_timer(node, FIX_FINGERS_EVERY, DcoTimer::FixFingers);
     }
 
     pub(super) fn handle_join_retry(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
@@ -267,7 +270,7 @@ impl DcoProtocol {
         let mut out = Outbox::new();
         self.chord.retry_join(node, NodeId(0), &mut out);
         self.drain(out, ctx);
-        ctx.set_timer(node, self.cfg.join_retry_every, DcoTimer::JoinRetry);
+        ctx.set_timer(node, JOIN_RETRY_EVERY, DcoTimer::JoinRetry);
     }
 
     // ------------------------------------------------------------------
@@ -294,7 +297,7 @@ impl DcoProtocol {
         // Register the server as the chunk's first provider.
         self.start_insert(node, seq, ctx);
         if self.next_seq.0 < self.cfg.n_chunks {
-            ctx.set_timer(node, self.cfg.chunk_interval, DcoTimer::Generate);
+            ctx.set_timer(node, CHUNK_INTERVAL, DcoTimer::Generate);
         }
     }
 
@@ -312,7 +315,7 @@ impl DcoProtocol {
         let index = ChunkIndex {
             seq,
             holder: node,
-            avail: ctx.available_upload(node, self.cfg.avail_horizon),
+            avail: ctx.available_upload(node, AVAIL_HORIZON),
             held_count: held,
         };
         let key = self.key_of(seq);
@@ -498,7 +501,6 @@ impl DcoProtocol {
         exclude: Option<NodeId>,
         ctx: &mut Ctx<'_, Self>,
     ) {
-        let floor = self.cfg.stream_rate;
         let policy = self.cfg.select_policy;
         self.lookups_delivered += 1;
         let Some(st) = self.state_mut(at) else { return };
@@ -523,7 +525,7 @@ impl DcoProtocol {
                 ctx.rng()
             };
             st.index
-                .select(key, floor, policy, excluded, rng)
+                .select(key, STREAM_RATE, policy, excluded, rng)
                 .map(|idx| idx.holder)
         };
         if provider.is_none() {

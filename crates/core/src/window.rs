@@ -14,37 +14,20 @@
 
 use dco_sim::net::Kbps;
 
-/// Configuration of the adaptive window.
-#[derive(Clone, Debug)]
-pub struct WindowConfig {
-    /// The predefined base window `W`, in chunks.
-    pub base_chunks: u32,
-    /// Network-average download bandwidth `B`.
-    pub avg_bandwidth: Kbps,
-    /// Lower clamp for the adapted window.
-    pub min_chunks: u32,
-    /// Upper clamp for the adapted window.
-    pub max_chunks: u32,
-    /// EWMA smoothing factor for the failure estimate (0 < α ≤ 1).
-    pub failure_alpha: f64,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            base_chunks: 10,
-            avg_bandwidth: Kbps(600),
-            min_chunks: 2,
-            max_chunks: 60,
-            failure_alpha: 0.2,
-        }
-    }
-}
+/// The predefined base window `W`, in chunks.
+pub const BASE_CHUNKS: u32 = 10;
+/// Network-average download bandwidth `B`.
+pub const AVG_BANDWIDTH: Kbps = Kbps(600);
+/// Lower clamp for the adapted window, in chunks.
+pub const MIN_CHUNKS: u32 = 2;
+/// Upper clamp for the adapted window, in chunks.
+pub const MAX_CHUNKS: u32 = 60;
+/// EWMA smoothing factor `α` of the failure estimate.
+pub const FAILURE_ALPHA: f64 = 0.2;
 
 /// Per-node adaptive prefetch window state.
 #[derive(Clone, Debug)]
 pub struct PrefetchWindow {
-    cfg: WindowConfig,
     /// This node's download bandwidth `b`.
     my_bandwidth: Kbps,
     /// EWMA estimate of the fetch-failure probability `p_f`.
@@ -56,9 +39,8 @@ pub struct PrefetchWindow {
 
 impl PrefetchWindow {
     /// A window for a node with download bandwidth `my_bandwidth`.
-    pub fn new(cfg: WindowConfig, my_bandwidth: Kbps) -> Self {
+    pub fn new(my_bandwidth: Kbps) -> Self {
         PrefetchWindow {
-            cfg,
             my_bandwidth,
             failure_rate: 0.0,
             fetches: 0,
@@ -69,15 +51,14 @@ impl PrefetchWindow {
     /// Records a successful chunk fetch.
     pub fn record_success(&mut self) {
         self.fetches += 1;
-        self.failure_rate *= 1.0 - self.cfg.failure_alpha;
+        self.failure_rate *= 1.0 - FAILURE_ALPHA;
     }
 
     /// Records a failed chunk fetch (timeout / busy provider).
     pub fn record_failure(&mut self) {
         self.fetches += 1;
         self.failures += 1;
-        self.failure_rate =
-            self.failure_rate * (1.0 - self.cfg.failure_alpha) + self.cfg.failure_alpha;
+        self.failure_rate = self.failure_rate * (1.0 - FAILURE_ALPHA) + FAILURE_ALPHA;
     }
 
     /// The current failure estimate `p_f` in `[0, 1)`.
@@ -91,13 +72,13 @@ impl PrefetchWindow {
     }
 
     /// Eq. 2: the adapted window size in chunks, clamped to
-    /// `[min_chunks, max_chunks]`.
+    /// `[MIN_CHUNKS, MAX_CHUNKS]`.
     pub fn size_chunks(&self) -> u32 {
         let b = self.my_bandwidth.0.max(1) as f64;
-        let big_b = self.cfg.avg_bandwidth.0.max(1) as f64;
+        let big_b = AVG_BANDWIDTH.0 as f64;
         let pf = self.failure_rate.clamp(0.0, 0.99);
-        let w = self.cfg.base_chunks as f64 * big_b / (b * (1.0 - pf));
-        (w.ceil() as u32).clamp(self.cfg.min_chunks, self.cfg.max_chunks)
+        let w = BASE_CHUNKS as f64 * big_b / (b * (1.0 - pf));
+        (w.ceil() as u32).clamp(MIN_CHUNKS, MAX_CHUNKS)
     }
 }
 
@@ -105,28 +86,24 @@ impl PrefetchWindow {
 mod tests {
     use super::*;
 
-    fn cfg() -> WindowConfig {
-        WindowConfig::default()
-    }
-
     #[test]
     fn average_node_gets_base_window() {
-        let w = PrefetchWindow::new(cfg(), Kbps(600));
+        let w = PrefetchWindow::new(Kbps(600));
         assert_eq!(w.size_chunks(), 10, "b = B, p_f = 0 ⇒ W");
     }
 
     #[test]
     fn slower_node_gets_larger_window() {
-        let slow = PrefetchWindow::new(cfg(), Kbps(300));
-        let fast = PrefetchWindow::new(cfg(), Kbps(1200));
+        let slow = PrefetchWindow::new(Kbps(300));
+        let fast = PrefetchWindow::new(Kbps(1200));
         assert_eq!(slow.size_chunks(), 20, "half bandwidth ⇒ double window");
         assert!(fast.size_chunks() < 10);
-        assert!(fast.size_chunks() >= cfg().min_chunks);
+        assert!(fast.size_chunks() >= MIN_CHUNKS);
     }
 
     #[test]
     fn failures_grow_the_window() {
-        let mut w = PrefetchWindow::new(cfg(), Kbps(600));
+        let mut w = PrefetchWindow::new(Kbps(600));
         let before = w.size_chunks();
         for _ in 0..20 {
             w.record_failure();
@@ -146,20 +123,20 @@ mod tests {
 
     #[test]
     fn window_is_clamped() {
-        let mut w = PrefetchWindow::new(cfg(), Kbps(10)); // absurdly slow
-        assert_eq!(w.size_chunks(), cfg().max_chunks);
+        let mut w = PrefetchWindow::new(Kbps(10)); // absurdly slow
+        assert_eq!(w.size_chunks(), MAX_CHUNKS);
         for _ in 0..50 {
             w.record_failure();
         }
-        assert_eq!(w.size_chunks(), cfg().max_chunks);
+        assert_eq!(w.size_chunks(), MAX_CHUNKS);
 
-        let w = PrefetchWindow::new(cfg(), Kbps(1_000_000)); // absurdly fast
-        assert_eq!(w.size_chunks(), cfg().min_chunks);
+        let w = PrefetchWindow::new(Kbps(1_000_000)); // absurdly fast
+        assert_eq!(w.size_chunks(), MIN_CHUNKS);
     }
 
     #[test]
     fn totals_track_outcomes() {
-        let mut w = PrefetchWindow::new(cfg(), Kbps(600));
+        let mut w = PrefetchWindow::new(Kbps(600));
         w.record_success();
         w.record_failure();
         w.record_success();
@@ -168,7 +145,7 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_does_not_divide_by_zero() {
-        let w = PrefetchWindow::new(cfg(), Kbps(0));
-        assert_eq!(w.size_chunks(), cfg().max_chunks);
+        let w = PrefetchWindow::new(Kbps(0));
+        assert_eq!(w.size_chunks(), MAX_CHUNKS);
     }
 }

@@ -6,12 +6,11 @@
 use dco_core::buffer::BufferMap;
 use dco_core::chunk::{ChunkNamer, ChunkSeq};
 use dco_core::index::{ChunkIndex, IndexTable, SelectPolicy};
-use dco_core::window::{PrefetchWindow, WindowConfig};
+use dco_core::window::{PrefetchWindow, AVG_BANDWIDTH, BASE_CHUNKS, MAX_CHUNKS, MIN_CHUNKS};
 use dco_dht::id::ChordId;
 use dco_sim::net::Kbps;
 use dco_sim::node::NodeId;
 use dco_sim::rng::SimRng;
-use dco_sim::time::SimDuration;
 use dco_testkit::{check, tk_assert, tk_assert_eq};
 
 /// Selection never returns an excluded holder and, under the paper's
@@ -91,35 +90,33 @@ fn selection_respects_exclusion_and_floor() {
 /// Eq. 2 shape: `W_pf = W·B/(b·(1−p_f))` is monotone non-increasing in
 /// the node's bandwidth `b` and non-decreasing in the failure estimate
 /// `p_f`, matches the closed form away from the clamps, and never leaves
-/// `[min_chunks, max_chunks]`.
+/// `[MIN_CHUNKS, MAX_CHUNKS]`.
 #[test]
 fn window_matches_eq2_and_is_monotone_and_clamped() {
     check("window_matches_eq2_and_is_monotone_and_clamped", 128, |g| {
-        let cfg = WindowConfig::default();
         let b1 = g.u64_in(50, 2000) as u32;
         let b2 = g.u64_in(50, 2000) as u32;
         let failures = g.usize_in(0, 30);
 
         // Monotone in b.
         let (slow, fast) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
-        let w_slow = PrefetchWindow::new(cfg.clone(), Kbps(slow)).size_chunks();
-        let w_fast = PrefetchWindow::new(cfg.clone(), Kbps(fast)).size_chunks();
+        let w_slow = PrefetchWindow::new(Kbps(slow)).size_chunks();
+        let w_fast = PrefetchWindow::new(Kbps(fast)).size_chunks();
         tk_assert!(
             w_slow >= w_fast,
             "slower node must not get a smaller window"
         );
 
         // Closed form away from the clamps (p_f = 0 for a fresh window).
-        let w = PrefetchWindow::new(cfg.clone(), Kbps(b1));
-        let closed =
-            (cfg.base_chunks as f64 * cfg.avg_bandwidth.0 as f64 / b1 as f64).ceil() as u32;
-        if closed > cfg.min_chunks && closed < cfg.max_chunks {
+        let w = PrefetchWindow::new(Kbps(b1));
+        let closed = (BASE_CHUNKS as f64 * AVG_BANDWIDTH.0 as f64 / b1 as f64).ceil() as u32;
+        if closed > MIN_CHUNKS && closed < MAX_CHUNKS {
             tk_assert_eq!(w.size_chunks(), closed, "Eq. 2 closed form at p_f = 0");
         }
 
         // Monotone in p_f: each failure raises the EWMA estimate, and the
         // window never shrinks along the way. Also clamped throughout.
-        let mut w = PrefetchWindow::new(cfg.clone(), Kbps(600));
+        let mut w = PrefetchWindow::new(Kbps(600));
         let mut prev_size = w.size_chunks();
         let mut prev_pf = w.failure_rate();
         for _ in 0..failures {
@@ -128,20 +125,20 @@ fn window_matches_eq2_and_is_monotone_and_clamped() {
             let size = w.size_chunks();
             tk_assert!(pf >= prev_pf, "p_f EWMA must rise on failure");
             tk_assert!(size >= prev_size, "window must not shrink as p_f rises");
-            tk_assert!(size >= cfg.min_chunks && size <= cfg.max_chunks);
+            tk_assert!((MIN_CHUNKS..=MAX_CHUNKS).contains(&size));
             prev_pf = pf;
             prev_size = size;
         }
 
         // Boundary clamping: absurd bandwidths pin to the clamps.
         tk_assert_eq!(
-            PrefetchWindow::new(cfg.clone(), Kbps(0)).size_chunks(),
-            cfg.max_chunks,
+            PrefetchWindow::new(Kbps(0)).size_chunks(),
+            MAX_CHUNKS,
             "b → 0 clamps high without dividing by zero"
         );
         tk_assert_eq!(
-            PrefetchWindow::new(cfg.clone(), Kbps(u32::MAX)).size_chunks(),
-            cfg.min_chunks,
+            PrefetchWindow::new(Kbps(u32::MAX)).size_chunks(),
+            MIN_CHUNKS,
             "b → ∞ clamps low"
         );
         Ok(())
@@ -183,7 +180,7 @@ fn chunk_names_are_unique() {
     check("chunk_names_are_unique", 64, |g| {
         let base = g.u64_in(1, 10_000_000_000);
         let n = g.u64_in(1, 128) as u32;
-        let namer = ChunkNamer::new("X", base, SimDuration::from_secs(1), n);
+        let namer = ChunkNamer::new("X", base, n);
         let mut names = std::collections::HashSet::new();
         let mut ids = std::collections::HashSet::new();
         for s in 0..n {

@@ -20,7 +20,7 @@
 //! the successor is declared dead, dropped from the successor list and the
 //! finger table, and the next list entry takes over. Predecessors are
 //! expired symmetrically when no probe has arrived for
-//! [`ChordConfig::pred_ttl_ticks`] ticks.
+//! [`PRED_TTL_TICKS`] ticks.
 
 use dco_sim::node::NodeId;
 use dco_sim::slab::SlotTable;
@@ -29,35 +29,6 @@ use dco_sim::smallvec::SmallVec;
 use crate::id::{ChordId, Peer};
 use crate::pool::{FingerPool, SuccessorPool, TombstonePool};
 use crate::ring::OracleRing;
-
-/// Tuning knobs for the ring.
-#[derive(Clone, Debug)]
-pub struct ChordConfig {
-    /// Successor-list length (the paper reuses this as the DCO node's
-    /// neighbor count; §IV varies it from 8 to 64).
-    pub successor_list_len: usize,
-    /// Fingers refreshed per `tick_fix_fingers` call. The default sweeps
-    /// the whole table; only the O(log n) non-local entries actually cost a
-    /// lookup, the rest resolve against the successor pointer for free.
-    pub fingers_per_tick: u32,
-    /// Stabilize ticks without a probe from the predecessor before it is
-    /// presumed dead.
-    pub pred_ttl_ticks: u32,
-    /// Consecutive unanswered liveness probes before a peer is declared
-    /// dead (loss tolerance; 1 = the original hair-trigger behavior).
-    pub suspicion_misses: u32,
-}
-
-impl Default for ChordConfig {
-    fn default() -> Self {
-        ChordConfig {
-            successor_list_len: 8,
-            fingers_per_tick: 64,
-            pred_ttl_ticks: 3,
-            suspicion_misses: 3,
-        }
-    }
-}
 
 /// Why a `FindSucc` lookup was issued; echoed back in the answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,6 +113,14 @@ pub const SUSPECT_TTL_TICKS: u64 = 30;
 /// so every node still gossiped is still tombstoned.
 const GOSSIP_TTL_TICKS: u64 = 10;
 const _: () = assert!(GOSSIP_TTL_TICKS <= SUSPECT_TTL_TICKS);
+
+/// Stabilize ticks without a probe from the predecessor before it is
+/// presumed dead.
+pub const PRED_TTL_TICKS: u32 = 3;
+
+/// Consecutive unanswered liveness probes before a peer is declared dead,
+/// so a single lost message cannot amputate a live node.
+pub const SUSPICION_MISSES: u32 = 3;
 
 /// Events the host must react to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -358,7 +337,6 @@ const GOSSIP_HOPS: u8 = 4;
 pub struct ChordState {
     me: Peer,
     pred: Option<Peer>,
-    next_finger: u32,
     /// Finger lookups issued last tick: `(finger index, first hop used)`.
     /// Entries still here at the next tick indicate a lost lookup; the hop
     /// is then suspected and cleared from the finger table.
@@ -382,18 +360,17 @@ pub struct ChordState {
 }
 
 impl ChordState {
-    fn new(me: Peer, cfg: &ChordConfig) -> Self {
+    fn new(me: Peer) -> Self {
         ChordState {
             me,
             pred: None,
-            next_finger: 0,
             pending_fingers: SmallVec::new(),
             stab_pending_to: None,
             probe_pending: None,
             last_deep_probe: None,
             tick: 0,
             recent_dead: SmallVec::new(),
-            pred_ttl: cfg.pred_ttl_ticks,
+            pred_ttl: PRED_TTL_TICKS,
             joined: false,
         }
     }
@@ -431,7 +408,7 @@ struct Books {
     succs: SuccessorPool,
     fingers: FingerPool,
     /// Consecutive unanswered probes per (owner, target). A peer is only
-    /// declared dead after [`ChordConfig::suspicion_misses`] silent
+    /// declared dead after [`SUSPICION_MISSES`] silent
     /// rounds, so a single lost message cannot amputate a live node.
     probe_misses: SlotTable<u32>,
     /// Death tombstones per (owner, peer), valued by declaration tick.
@@ -447,9 +424,9 @@ struct Books {
 }
 
 impl Books {
-    fn new(owners: usize, cfg: &ChordConfig) -> Self {
+    fn new(owners: usize, successor_list_len: usize) -> Self {
         Books {
-            succs: SuccessorPool::new(owners, cfg.successor_list_len),
+            succs: SuccessorPool::new(owners, successor_list_len),
             fingers: FingerPool::new(owners),
             // Stab + deep probe leave at most a couple of live miss
             // counters per node; tombstones burst a little wider under
@@ -625,29 +602,23 @@ impl FingersRef<'_> {
     }
 }
 
-/// The Chord state of every simulated node, plus the shared configuration.
+/// The Chord state of every simulated node.
 pub struct ChordNet {
-    cfg: ChordConfig,
     nodes: Vec<Option<ChordState>>,
     books: Books,
     route_cache: RouteCache,
 }
 
 impl ChordNet {
-    /// An empty network able to host up to `capacity` nodes.
-    pub fn new(capacity: usize, cfg: ChordConfig) -> Self {
-        let books = Books::new(capacity, &cfg);
+    /// An empty network able to host up to `capacity` nodes, each keeping
+    /// `successor_list_len` successors (DCO passes its neighbor count,
+    /// which §IV varies from 8 to 64).
+    pub fn new(capacity: usize, successor_list_len: usize) -> Self {
         ChordNet {
-            cfg,
             nodes: (0..capacity).map(|_| None).collect(),
-            books,
+            books: Books::new(capacity, successor_list_len),
             route_cache: RouteCache::default(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ChordConfig {
-        &self.cfg
     }
 
     /// Grows capacity to at least `n` slots.
@@ -707,7 +678,7 @@ impl ChordNet {
     /// The first node bootstraps a singleton ring.
     pub fn bootstrap(&mut self, me: Peer) {
         self.grow(me.node.index() + 1);
-        let mut st = ChordState::new(me, &self.cfg);
+        let mut st = ChordState::new(me);
         st.joined = true;
         self.route_cache.bump(me.node);
         // Slots are recycled across churn sessions: scrub any books left
@@ -723,7 +694,7 @@ impl ChordNet {
         self.grow(me.node.index() + 1);
         self.route_cache.bump(me.node);
         self.books.clear_owner(me.node.index());
-        self.nodes[me.node.index()] = Some(ChordState::new(me, &self.cfg));
+        self.nodes[me.node.index()] = Some(ChordState::new(me));
         out.send(
             me.node,
             via,
@@ -833,11 +804,10 @@ impl ChordNet {
                 self.handle_found(node, succ, token, out);
             }
             ChordMsg::GetPred { from: prober } => {
-                let pred_ttl = self.cfg.pred_ttl_ticks;
                 let (st, books) = self.state_mut(node).expect("checked above");
                 // A probe from our predecessor proves it is alive.
                 if st.pred.map(|p| p.node == prober.node).unwrap_or(false) {
-                    st.pred_ttl = pred_ttl;
+                    st.pred_ttl = PRED_TTL_TICKS;
                 }
                 let reply = ChordMsg::PredReply {
                     pred: st.pred,
@@ -861,13 +831,12 @@ impl ChordNet {
                 }
             }
             ChordMsg::LeaveToSucc { leaving, new_pred } => {
-                let pred_ttl = self.cfg.pred_ttl_ticks;
                 let (st, books) = self.state_mut(node).expect("checked above");
                 let was_pred = st.pred.map(|p| p.node == leaving.node).unwrap_or(false);
                 books.forget(st, owner, leaving.node);
                 if was_pred {
                     st.pred = new_pred;
-                    st.pred_ttl = pred_ttl;
+                    st.pred_ttl = PRED_TTL_TICKS;
                     // Ownership arc grows — no key handover needed (we keep
                     // serving the departed arc until a new node claims it).
                 }
@@ -1044,7 +1013,6 @@ impl ChordNet {
     }
 
     fn handle_notify(&mut self, node: NodeId, peer: Peer, out: &mut Outbox) {
-        let pred_ttl = self.cfg.pred_ttl_ticks;
         let owner = node.index();
         let (st, books) = self.state_mut(node).expect("caller checked");
         if peer.node == node {
@@ -1057,7 +1025,7 @@ impl ChordNet {
         books.learn(st, owner, peer);
         if adopt {
             st.pred = Some(peer);
-            st.pred_ttl = pred_ttl;
+            st.pred_ttl = PRED_TTL_TICKS;
             out.events.push(ChordEvent::PredChanged {
                 node,
                 new_pred: peer,
@@ -1075,7 +1043,6 @@ impl ChordNet {
     /// hops, so corpses must be flushed out of the whole list), and
     /// predecessor expiry.
     pub fn tick_stabilize(&mut self, node: NodeId, out: &mut Outbox) {
-        let threshold = self.cfg.suspicion_misses.max(1);
         let owner = node.index();
         let Some((st, books)) = self.state_mut(node) else {
             return;
@@ -1088,19 +1055,18 @@ impl ChordNet {
             .suspected
             .retain(owner, |_, t| now_tick.saturating_sub(t) < SUSPECT_TTL_TICKS);
         // Unanswered probes from last tick → count a miss; declare death
-        // only after `suspicion_misses` consecutive silent rounds.
+        // only after `SUSPICION_MISSES` consecutive silent rounds.
         fn declare(
             books: &mut Books,
             st: &mut ChordState,
             owner: usize,
-            threshold: u32,
             node: NodeId,
             out: &mut Outbox,
             suspect: NodeId,
         ) {
             let misses = books.probe_misses.get(owner, suspect.0).unwrap_or(0) + 1;
             books.probe_misses.insert(owner, suspect.0, misses);
-            if misses >= threshold && books.succs.contains_node(owner, suspect) {
+            if misses >= SUSPICION_MISSES && books.succs.contains_node(owner, suspect) {
                 books.probe_misses.remove(owner, suspect.0);
                 books.forget(st, owner, suspect);
                 out.events.push(ChordEvent::SuccessorDeclaredDead {
@@ -1110,10 +1076,10 @@ impl ChordNet {
             }
         }
         if let Some(suspect) = st.stab_pending_to.take() {
-            declare(books, st, owner, threshold, node, out, suspect);
+            declare(books, st, owner, node, out, suspect);
         }
         if let Some(suspect) = st.probe_pending.take() {
-            declare(books, st, owner, threshold, node, out, suspect);
+            declare(books, st, owner, node, out, suspect);
         }
         // Predecessor expiry.
         if st.pred.is_some() {
@@ -1152,12 +1118,12 @@ impl ChordNet {
         }
     }
 
-    /// One finger-maintenance tick: issues lookups for the next few finger
-    /// starts (round-robin). Lookups from the previous tick that were never
+    /// One finger-maintenance tick: refreshes the whole finger table. Only
+    /// the O(log n) starts past the successor cost a lookup; the rest
+    /// resolve locally. Lookups from the previous tick that were never
     /// answered indicate a dead hop; that hop is cleared from the finger
     /// table so the next attempt routes around it.
     pub fn tick_fix_fingers(&mut self, node: NodeId, out: &mut Outbox) {
-        let per = self.cfg.fingers_per_tick;
         let owner = node.index();
         let Some((st, books)) = self.state_mut(node) else {
             return;
@@ -1174,9 +1140,7 @@ impl ChordNet {
             books.fingers.remove_node(owner, hop);
         }
         let me = st.me;
-        let mut k = st.next_finger;
-        st.next_finger = (st.next_finger + per) % crate::id::ID_BITS;
-        for _ in 0..per {
+        for k in 0..crate::id::ID_BITS {
             let start = me.id.finger_start(k);
             // Resolve locally when we already know the owner.
             let answered = {
@@ -1215,7 +1179,6 @@ impl ChordNet {
                     "chord.find",
                 );
             }
-            k = (k + 1) % crate::id::ID_BITS;
         }
     }
 
@@ -1275,9 +1238,9 @@ impl ChordNet {
     /// predecessor/successor pointers, full successor lists and exact
     /// finger tables. This matches the paper's no-churn setting where "all
     /// nodes form a DHT" before streaming starts.
-    pub fn build_static(peers: &[Peer], cfg: ChordConfig) -> Self {
+    pub fn build_static(peers: &[Peer], successor_list_len: usize) -> Self {
         let cap = peers.iter().map(|p| p.node.index() + 1).max().unwrap_or(0);
-        let mut net = ChordNet::new(cap, cfg);
+        let mut net = ChordNet::new(cap, successor_list_len);
         // The members in ID order: every pointer below is an index into it,
         // found by binary search.
         let ring: Vec<Peer> = OracleRing::from_members(peers.iter().copied())
@@ -1288,12 +1251,12 @@ impl ChordNet {
         let owner_at = |key: ChordId| ring.partition_point(|q| q.id < key) % n;
         for &p in peers {
             let slot = p.node.index();
-            let mut st = ChordState::new(p, &net.cfg);
+            let mut st = ChordState::new(p);
             st.joined = true;
             if peers.len() > 1 {
                 st.pred = Some(ring[(owner_at(p.id) + n - 1) % n]).filter(|q| q.node != p.node);
                 let after = ring.partition_point(|q| q.id <= p.id);
-                for j in 0..net.cfg.successor_list_len.min(n) {
+                for j in 0..successor_list_len.min(n) {
                     let s = ring[(after + j) % n];
                     if s.id == p.id {
                         break;
@@ -1327,6 +1290,9 @@ impl ChordNet {
 mod tests {
     use super::*;
     use crate::hash::hash_node;
+
+    /// Successor-list length of the test rings.
+    pub(super) const SUCC_LEN: usize = 8;
 
     fn peer_of(node: u32) -> Peer {
         Peer::new(hash_node(NodeId(node)), NodeId(node))
@@ -1363,16 +1329,15 @@ mod tests {
     #[test]
     fn static_ring_matches_oracle() {
         let peers: Vec<Peer> = (0..32).map(peer_of).collect();
-        let net = ChordNet::build_static(&peers, ChordConfig::default());
+        let net = ChordNet::build_static(&peers, SUCC_LEN);
         let oracle = net.oracle();
         for p in &peers {
             let st = net.state(p.node).unwrap();
             assert_eq!(st.successor(), oracle.successor(p.id), "succ of {p:?}");
             assert_eq!(st.predecessor(), oracle.predecessor(p.id), "pred of {p:?}");
-            let len = ChordConfig::default().successor_list_len;
             assert_eq!(
                 st.successor_list(),
-                oracle.successors(p.id, len),
+                oracle.successors(p.id, SUCC_LEN),
                 "succs of {p:?}"
             );
             for k in 0..crate::id::ID_BITS {
@@ -1388,7 +1353,7 @@ mod tests {
     #[test]
     fn static_ring_routes_to_owner() {
         let peers: Vec<Peer> = (0..64).map(peer_of).collect();
-        let net = ChordNet::build_static(&peers, ChordConfig::default());
+        let net = ChordNet::build_static(&peers, SUCC_LEN);
         let oracle = net.oracle();
         for i in 0..200u64 {
             let key = ChordId(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1419,7 +1384,7 @@ mod tests {
 
     #[test]
     fn sequential_joins_converge_to_oracle() {
-        let mut net = ChordNet::new(0, ChordConfig::default());
+        let mut net = ChordNet::new(0, SUCC_LEN);
         let mut out = Outbox::new();
         net.bootstrap(peer_of(0));
         let mut members = vec![NodeId(0)];
@@ -1455,7 +1420,7 @@ mod tests {
     #[test]
     fn graceful_leave_repairs_ring() {
         let peers: Vec<Peer> = (0..12).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let mut out = Outbox::new();
         let oracle_before = net.oracle();
         let leaver = NodeId(5);
@@ -1483,7 +1448,7 @@ mod tests {
     #[test]
     fn failure_is_detected_by_stabilization() {
         let peers: Vec<Peer> = (0..10).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let oracle = net.oracle();
         let victim = NodeId(4);
         let victim_id = peer_of(4).id;
@@ -1520,7 +1485,7 @@ mod tests {
     #[test]
     fn routing_works_after_churn() {
         let peers: Vec<Peer> = (0..20).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let mut out = Outbox::new();
         // Kill 3, gracefully remove 2, join 2 new.
         net.fail(NodeId(3));
@@ -1576,7 +1541,7 @@ mod tests {
 
     #[test]
     fn pred_changed_event_fires_on_new_predecessor() {
-        let mut net = ChordNet::new(0, ChordConfig::default());
+        let mut net = ChordNet::new(0, SUCC_LEN);
         let mut out = Outbox::new();
         net.bootstrap(peer_of(0));
         net.join(peer_of(1), NodeId(0), &mut out);
@@ -1589,7 +1554,7 @@ mod tests {
     #[test]
     fn find_ttl_guards_against_loops() {
         let peers: Vec<Peer> = (0..4).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let mut out = Outbox::new();
         // TTL 0 at a node that must forward → message silently dropped.
         let key_owned_elsewhere = {
@@ -1622,7 +1587,7 @@ mod tests {
 
     #[test]
     fn member_count_and_grow() {
-        let mut net = ChordNet::new(2, ChordConfig::default());
+        let mut net = ChordNet::new(2, SUCC_LEN);
         assert_eq!(net.member_count(), 0);
         net.bootstrap(peer_of(7)); // forces grow
         assert_eq!(net.member_count(), 1);
@@ -1633,6 +1598,7 @@ mod tests {
 
 #[cfg(test)]
 mod robustness_tests {
+    use super::tests::SUCC_LEN;
     use super::*;
     use crate::hash::hash_node;
     use dco_sim::node::NodeId;
@@ -1653,10 +1619,10 @@ mod robustness_tests {
 
     #[test]
     fn one_missed_probe_does_not_kill_a_successor() {
-        // With suspicion_misses = 3, losing one stabilize reply must not
+        // With SUSPICION_MISSES = 3, losing one stabilize reply must not
         // amputate the (alive) successor.
         let peers: Vec<Peer> = (0..6).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let victim_succ = net.state(NodeId(0)).unwrap().successor().unwrap();
         let mut out = Outbox::new();
         // Tick WITHOUT delivering the probes (simulated loss), once.
@@ -1675,7 +1641,7 @@ mod robustness_tests {
     #[test]
     fn three_missed_probes_do_kill_a_successor() {
         let peers: Vec<Peer> = (0..6).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let succ = net.state(NodeId(0)).unwrap().successor().unwrap();
         net.fail(succ.node);
         let mut out = Outbox::new();
@@ -1702,7 +1668,7 @@ mod robustness_tests {
     #[test]
     fn tombstones_expire_after_suspect_ttl() {
         let peers: Vec<Peer> = (0..4).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let succ = net.state(NodeId(0)).unwrap().successor().unwrap();
         net.fail(succ.node);
         let mut out = Outbox::new();
@@ -1731,7 +1697,7 @@ mod robustness_tests {
     #[test]
     fn death_gossip_spreads_to_the_predecessor() {
         let peers: Vec<Peer> = (0..8).map(peer_of).collect();
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, SUCC_LEN);
         let oracle = net.oracle();
         // Ring order: a → b → c; kill c, let b detect it, then verify a
         // learns of the death through b's PredReply gossip.

@@ -26,16 +26,17 @@
 //! ## Example
 //!
 //! ```
-//! use dco_dht::chord::{ChordConfig, ChordNet, RouteDecision};
+//! use dco_dht::chord::{ChordNet, RouteDecision};
 //! use dco_dht::hash::{hash_name, hash_node};
 //! use dco_dht::id::Peer;
 //! use dco_sim::node::NodeId;
 //!
-//! // A converged 64-node ring, as in the paper's no-churn setting.
+//! // A converged 64-node ring with 8-entry successor lists, as in the
+//! // paper's no-churn setting.
 //! let peers: Vec<Peer> = (0..64)
 //!     .map(|i| Peer::new(hash_node(NodeId(i)), NodeId(i)))
 //!     .collect();
-//! let net = ChordNet::build_static(&peers, ChordConfig::default());
+//! let net = ChordNet::build_static(&peers, 8);
 //!
 //! // Greedy-route a chunk key from node 0 to its owner.
 //! let key = hash_name("CNN1230773442");
@@ -76,9 +77,7 @@ pub mod store;
 pub mod successors;
 pub mod wire;
 
-pub use chord::{
-    ChordConfig, ChordEvent, ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep, RouteToken,
-};
+pub use chord::{ChordEvent, ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep, RouteToken};
 pub use hash::{hash_bytes, hash_name, hash_node};
 pub use id::{ChordId, Peer, ID_BITS};
 pub use ring::OracleRing;

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use dco_dht::chord::{ChordConfig, ChordNet, Outbox, RouteDecision};
+use dco_dht::chord::{ChordNet, Outbox, RouteDecision};
 use dco_dht::id::{ChordId, Peer};
 use dco_dht::ring::OracleRing;
 use dco_dht::store::KeyStore;
@@ -109,7 +109,7 @@ fn static_ring_routes_every_key_to_oracle_owner() {
     check("static_ring_routes_every_key_to_oracle_owner", 64, |g| {
         let peers = gen_peers(g, 2, 40);
         let keys: Vec<u64> = g.vec_of(1, 20, |g| g.any_u64());
-        let net = ChordNet::build_static(&peers, ChordConfig::default());
+        let net = ChordNet::build_static(&peers, 8);
         let oracle = OracleRing::from_members(peers.iter().copied());
         let start = peers[g.usize_in(0, peers.len())].node;
         let n = peers.len() as f64;
@@ -131,7 +131,7 @@ fn static_ring_routes_every_key_to_oracle_owner() {
 fn dynamic_joins_converge_to_oracle() {
     check("dynamic_joins_converge_to_oracle", 48, |g| {
         let peers = gen_peers(g, 2, 16);
-        let mut net = ChordNet::new(peers.len(), ChordConfig::default());
+        let mut net = ChordNet::new(peers.len(), 8);
         let mut out = Outbox::new();
         net.bootstrap(peers[0]);
         let mut members = vec![peers[0].node];
@@ -169,7 +169,7 @@ fn failures_heal_and_routing_stays_correct() {
         let peers = gen_peers(g, 6, 24);
         let kill_start = g.usize_in(0, peers.len());
         let keys: Vec<u64> = g.vec_of(1, 12, |g| g.any_u64());
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, 8);
         let kill_count = peers.len() / 3;
         let killed: Vec<NodeId> = (0..kill_count)
             .map(|i| peers[(kill_start + 2 * i) % peers.len()].node)

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use dco_dht::chord::{ChordConfig, ChordNet, Outbox, RouteDecision};
+use dco_dht::chord::{ChordNet, Outbox, RouteDecision};
 use dco_dht::finger::FingerTable;
 use dco_dht::hash::hash_node;
 use dco_dht::id::{ChordId, Peer};
@@ -518,7 +518,7 @@ fn gen_ring(g: &mut Gen, lo: usize, hi: usize) -> Vec<Peer> {
 fn mass_departure_flushes_pooled_books() {
     check("mass_departure_flushes_pooled_books", 32, |g| {
         let peers = gen_ring(g, 10, 24);
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, 8);
         let observer = peers[g.usize_in(0, peers.len())];
         // Kill >50% of the observer's successor list at once.
         let succs: Vec<NodeId> = net
@@ -566,7 +566,7 @@ fn mass_departure_flushes_pooled_books() {
 fn departure_mid_join_leaves_no_stale_books() {
     check("departure_mid_join_leaves_no_stale_books", 32, |g| {
         let peers = gen_ring(g, 4, 12);
-        let mut net = ChordNet::new(peers.len() + 1, ChordConfig::default());
+        let mut net = ChordNet::new(peers.len() + 1, 8);
         let mut out = Outbox::new();
         net.bootstrap(peers[0]);
         let mut members = vec![peers[0].node];
@@ -622,7 +622,7 @@ fn departure_mid_join_leaves_no_stale_books() {
 fn rejoin_collides_with_stale_pending_entries() {
     check("rejoin_collides_with_stale_pending_entries", 32, |g| {
         let peers = gen_ring(g, 6, 14);
-        let mut net = ChordNet::build_static(&peers, ChordConfig::default());
+        let mut net = ChordNet::build_static(&peers, 8);
         let all: Vec<NodeId> = peers.iter().map(|p| p.node).collect();
         let victim = peers[g.usize_in(0, peers.len())];
         net.fail(victim.node);

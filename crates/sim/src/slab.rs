@@ -10,7 +10,7 @@
 //! * [`SlotTable`] — one small key→value table per owner, packed into a
 //!   fixed-stride segment of two parallel arrays. Built for tables whose
 //!   occupancy is tiny and bounded (a node's in-flight fetches, capped by
-//!   `max_inflight`): lookups are linear scans over a handful of adjacent
+//!   `MAX_INFLIGHT`): lookups are linear scans over a handful of adjacent
 //!   slots, which beats hashing at these sizes and allocates nothing after
 //!   construction (the stride doubles — one realloc — in the rare case an
 //!   owner outgrows it).

@@ -80,13 +80,6 @@ impl Gen {
         assert!(!xs.is_empty(), "Gen::pick on empty slice");
         &xs[self.usize_in(0, xs.len())]
     }
-
-    /// A shuffled copy of `0..n`.
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut xs: Vec<usize> = (0..n).collect();
-        self.rng.shuffle(&mut xs);
-        xs
-    }
 }
 
 /// Outcome of one property case.
@@ -277,10 +270,6 @@ mod tests {
             let v = g.vec_of(0, 5, |g| g.u64_in(10, 20));
             tk_assert!(v.len() < 5);
             tk_assert!(v.iter().all(|&x| (10..20).contains(&x)));
-            let p = g.permutation(6);
-            let mut sorted = p.clone();
-            sorted.sort_unstable();
-            tk_assert_eq!(sorted, (0..6).collect::<Vec<_>>());
             let f = g.f64_in(-1.0, 1.0);
             tk_assert!((-1.0..1.0).contains(&f));
             Ok(())

@@ -134,24 +134,6 @@ impl ChurnSchedule {
             .sum()
     }
 
-    /// Number of nodes up at instant `t` according to the schedule.
-    pub fn alive_at(&self, t: SimTime) -> usize {
-        self.events
-            .iter()
-            .filter(|(_, seq)| {
-                let mut up = false;
-                for e in seq {
-                    match *e {
-                        ChurnEvent::Join(at) if at <= t => up = true,
-                        ChurnEvent::Leave(at, _) if at <= t => up = false,
-                        _ => {}
-                    }
-                }
-                up
-            })
-            .count()
-    }
-
     /// The intervals during which `node` is up, clipped to `[0, horizon]`.
     pub fn up_intervals(&self, node: NodeId, horizon: SimTime) -> Vec<(SimTime, SimTime)> {
         let Some((_, seq)) = self.events.iter().find(|(n, _)| *n == node) else {
@@ -179,6 +161,24 @@ impl ChurnSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of nodes up at instant `t` according to the schedule.
+    fn alive_at(s: &ChurnSchedule, t: SimTime) -> usize {
+        s.events
+            .iter()
+            .filter(|(_, seq)| {
+                let mut up = false;
+                for e in seq {
+                    match *e {
+                        ChurnEvent::Join(at) if at <= t => up = true,
+                        ChurnEvent::Leave(at, _) if at <= t => up = false,
+                        _ => {}
+                    }
+                }
+                up
+            })
+            .count()
+    }
 
     fn cfg() -> ChurnConfig {
         ChurnConfig {
@@ -215,7 +215,7 @@ mod tests {
         let s = ChurnSchedule::generate(1, 200, SimTime::from_secs(600), &cfg(), 7);
         // With up/down both Exp(60), steady-state availability is ~50%.
         for probe in [120u64, 300, 500] {
-            let alive = s.alive_at(SimTime::from_secs(probe));
+            let alive = alive_at(&s, SimTime::from_secs(probe));
             assert!(
                 (60..=140).contains(&alive),
                 "alive at {probe}s = {alive}, expected near 100"

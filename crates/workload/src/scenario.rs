@@ -1,17 +1,16 @@
 //! Experiment scenario construction.
 //!
 //! A [`Scenario`] bundles everything §IV fixes about a run — population,
-//! chunk stream shape, optional churn — and installs itself into any
+//! chunk count, optional churn — and installs itself into any
 //! protocol's simulator: it creates the nodes with the paper's link
 //! capacities (4000 kbps server, 600 kbps peers) and schedules every join
 //! and leave. The protocol itself is supplied by the caller (`dco-core` or
 //! `dco-baselines`).
 
 use dco_sim::engine::{Protocol, Simulator};
-use dco_sim::msg::SizeBits;
 use dco_sim::net::NodeCaps;
 use dco_sim::node::NodeId;
-use dco_sim::time::{SimDuration, SimTime};
+use dco_sim::time::SimTime;
 
 use crate::churn::{ChurnConfig, ChurnEvent, ChurnSchedule};
 
@@ -22,10 +21,6 @@ pub struct Scenario {
     pub n_nodes: u32,
     /// Number of chunks the server emits.
     pub n_chunks: u32,
-    /// Chunk payload size (300 kb in the paper).
-    pub chunk_size: SizeBits,
-    /// Interval between chunk emissions (1 s in the paper).
-    pub chunk_interval: SimDuration,
     /// Optional churn configuration (none = static network).
     pub churn: Option<ChurnConfig>,
     /// Run horizon: events past this instant are not scheduled and
@@ -42,8 +37,6 @@ impl Scenario {
         Scenario {
             n_nodes: 512,
             n_chunks: 100,
-            chunk_size: SizeBits::from_kilobits(300),
-            chunk_interval: SimDuration::from_secs(1),
             churn: None,
             horizon: SimTime::from_secs(200),
             seed,
@@ -160,8 +153,6 @@ mod tests {
         let s = Scenario::paper_default(1);
         assert_eq!(s.n_nodes, 512);
         assert_eq!(s.n_chunks, 100);
-        assert_eq!(s.chunk_size.bits(), 300_000);
-        assert_eq!(s.chunk_interval, SimDuration::from_secs(1));
         assert!(s.churn.is_none());
     }
 
