@@ -392,7 +392,10 @@ mod tests {
         sim.run_until(SimTime::from_secs(120));
         let p = sim.protocol();
         assert_eq!(p.obs.received_pairs(), p.obs.expected_pairs());
-        let d = p.obs.mean_mesh_delay(SimTime::from_secs(120));
+        let d = p
+            .obs
+            .fold_figures(SimTime::from_secs(120), &[])
+            .mean_mesh_delay;
         assert!(d > 0.0 && d < 60.0, "implausible delay {d:.2}s");
     }
 
@@ -407,7 +410,8 @@ mod tests {
         let pct = sim
             .protocol()
             .obs
-            .received_percentage(SimTime::from_secs(150));
+            .fold_figures(SimTime::from_secs(150), &[])
+            .received_pct;
         assert!(pct > 85.0, "pull under churn got only {pct:.1}%");
     }
 

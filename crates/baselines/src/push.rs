@@ -357,7 +357,10 @@ mod tests {
         let mut sim = build_with(24, 10, 16, 8, NetConfig::paper_model());
         sim.run_until(SimTime::from_secs(60));
         let p = sim.protocol();
-        let f = p.obs.mean_fill_ratio_at_offset(SimDuration::from_secs(5));
+        let f = p
+            .obs
+            .fold_figures(SimTime::from_secs(60), &[SimDuration::from_secs(5)])
+            .fill_at_offsets[0];
         assert!(f > 0.45, "fill at +5 s only {f:.2}");
         assert_eq!(p.obs.received_pairs(), p.obs.expected_pairs());
     }
@@ -383,7 +386,8 @@ mod tests {
         let pct = sim
             .protocol()
             .obs
-            .received_percentage(SimTime::from_secs(150));
+            .fold_figures(SimTime::from_secs(150), &[])
+            .received_pct;
         assert!(pct > 75.0, "push under churn got only {pct:.1}%");
     }
 }

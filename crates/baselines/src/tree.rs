@@ -280,8 +280,13 @@ mod tests {
         let d_narrow = narrow
             .protocol()
             .obs
-            .mean_mesh_delay(SimTime::from_secs(90));
-        let d_wide = wide.protocol().obs.mean_mesh_delay(SimTime::from_secs(90));
+            .fold_figures(SimTime::from_secs(90), &[])
+            .mean_mesh_delay;
+        let d_wide = wide
+            .protocol()
+            .obs
+            .fold_figures(SimTime::from_secs(90), &[])
+            .mean_mesh_delay;
         assert!(
             d_wide > d_narrow,
             "degree-31 delay {d_wide:.2}s should exceed degree-2 {d_narrow:.2}s"

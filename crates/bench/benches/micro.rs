@@ -18,7 +18,7 @@ use dco_sim::net::Kbps;
 use dco_sim::node::NodeId;
 use dco_sim::queue::EventQueue;
 use dco_sim::rng::SimRng;
-use dco_sim::time::SimTime;
+use dco_sim::time::{SimDuration, SimTime};
 
 fn bench_event_queue() {
     bench("event_queue/push_pop_1k", 200, || {
@@ -249,7 +249,7 @@ fn bench_observer_record() {
         }
         obs.rereceptions()
     });
-    // Query side: the timeline fold the figure extractor runs once per run.
+    // Query side: the figure fold the extractor runs once per run.
     let mut obs = StreamObserver::new(1_000, 100);
     for seq in 0..100u32 {
         obs.record_generated(seq, SimTime::from_micros(u64::from(seq) * 1_000_000));
@@ -260,8 +260,9 @@ fn bench_observer_record() {
     for &(seq, node, t) in &script {
         obs.record_received(seq, node, t);
     }
-    bench("observer/received_by_second_200s", 50, || {
-        black_box(obs.received_by_second(200)).1
+    let offsets = [SimDuration::from_secs(2), SimDuration::from_secs(5)];
+    bench("observer/fold_figures_200s", 50, || {
+        black_box(obs.fold_figures(SimTime::from_secs(200), &offsets)).expected_pairs
     });
 }
 

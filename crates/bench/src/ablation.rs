@@ -5,7 +5,6 @@
 //!
 //! * **provider selection** — the paper's sufficient-bandwidth rule vs a
 //!   random provider;
-//! * **adaptive prefetch window** — Eq. 2 on vs a fixed base window;
 //! * **tier mode** — the §IV flat ring vs §III's hierarchical
 //!   coordinators-plus-clients with elastic promotion;
 //! * **bandwidth model** — the paper's sender-side-only queueing vs the
@@ -43,19 +42,13 @@ pub struct AblationRow {
     pub fetch_failures: u64,
 }
 
-fn run_variant(v: &Variant, scale: &FigScale, seed: u64, churn: bool) -> AblationRow {
-    let mut scenario = if churn {
-        Scenario::paper_churn(scale.churn_horizon / 5, seed)
-    } else {
-        Scenario::paper_default(seed)
-    };
+/// Runs one variant on the static §IV scenario at the scale's first seed.
+fn run_variant(v: &Variant, scale: &FigScale) -> AblationRow {
+    let seed = scale.seeds[0];
+    let mut scenario = Scenario::paper_default(seed);
     scenario.n_nodes = v.cfg.n_nodes;
     scenario.n_chunks = v.cfg.n_chunks;
-    scenario.horizon = if churn {
-        SimTime::from_secs(scale.churn_horizon)
-    } else {
-        SimTime::from_secs(scale.static_horizon)
-    };
+    scenario.horizon = SimTime::from_secs(scale.static_horizon);
     let mut sim = Simulator::with_capacity(
         DcoProtocol::new(v.cfg.clone()),
         v.net.clone(),
@@ -65,35 +58,32 @@ fn run_variant(v: &Variant, scale: &FigScale, seed: u64, churn: bool) -> Ablatio
     scenario.install(&mut sim);
     sim.run_until(scenario.horizon);
     let p = sim.protocol();
+    let m = p.obs.fold_figures(scenario.horizon, &[]);
     AblationRow {
         label: v.label.to_string(),
-        mesh_delay: p.obs.mean_mesh_delay(scenario.horizon),
-        received_pct: p.obs.received_percentage(scenario.horizon),
+        mesh_delay: m.mean_mesh_delay,
+        received_pct: m.received_pct,
         overhead: overhead_units(sim.counters()),
         fetch_failures: p.fetch_failures,
     }
 }
 
-fn base_cfg(scale: &FigScale, churn: bool) -> DcoConfig {
-    let mut cfg = if churn {
-        DcoConfig::paper_churn(scale.n_nodes, scale.churn_chunks)
-    } else {
-        DcoConfig::paper_default(scale.n_nodes, scale.n_chunks)
-    };
+fn base_cfg(scale: &FigScale) -> DcoConfig {
+    let mut cfg = DcoConfig::paper_default(scale.n_nodes, scale.n_chunks);
     cfg.neighbors = scale.default_neighbors;
     cfg
 }
 
 /// Provider selection: sufficient-bandwidth round-robin vs random.
 pub fn ablate_selection(scale: &FigScale) -> Vec<AblationRow> {
-    let mut random = base_cfg(scale, false);
+    let mut random = base_cfg(scale);
     random.select_policy = dco_core::index::SelectPolicy::Random;
-    let mut least = base_cfg(scale, false);
+    let mut least = base_cfg(scale);
     least.select_policy = dco_core::index::SelectPolicy::LeastLoaded;
     let variants = [
         Variant {
             label: "sufficient-bandwidth (paper)",
-            cfg: base_cfg(scale, false),
+            cfg: base_cfg(scale),
             net: NetConfig::paper_model(),
         },
         Variant {
@@ -108,35 +98,13 @@ pub fn ablate_selection(scale: &FigScale) -> Vec<AblationRow> {
         },
     ];
     pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale, scale.seeds[0], false)
-    })
-}
-
-/// Prefetch window: Eq. 2 adaptation vs fixed base window, under churn
-/// (where fetch failures actually occur).
-pub fn ablate_window(scale: &FigScale) -> Vec<AblationRow> {
-    let mut fixed = base_cfg(scale, true);
-    fixed.adaptive_window = false;
-    let variants = [
-        Variant {
-            label: "adaptive window (Eq. 2)",
-            cfg: base_cfg(scale, true),
-            net: NetConfig::paper_model(),
-        },
-        Variant {
-            label: "fixed window",
-            cfg: fixed,
-            net: NetConfig::paper_model(),
-        },
-    ];
-    pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale, scale.seeds[0], true)
+        run_variant(v, scale)
     })
 }
 
 /// Tier mode: the §IV flat ring vs §III's hierarchical infrastructure.
 pub fn ablate_tier(scale: &FigScale) -> Vec<AblationRow> {
-    let mut hier = base_cfg(scale, false);
+    let mut hier = base_cfg(scale);
     hier.tier = TierMode::Hierarchical {
         stable_threshold: 0.6,
         overload_lookups: 200,
@@ -145,7 +113,7 @@ pub fn ablate_tier(scale: &FigScale) -> Vec<AblationRow> {
     let variants = [
         Variant {
             label: "flat ring (§IV)",
-            cfg: base_cfg(scale, false),
+            cfg: base_cfg(scale),
             net: NetConfig::paper_model(),
         },
         Variant {
@@ -155,7 +123,7 @@ pub fn ablate_tier(scale: &FigScale) -> Vec<AblationRow> {
         },
     ];
     pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale, scale.seeds[0], false)
+        run_variant(v, scale)
     })
 }
 
@@ -165,17 +133,17 @@ pub fn ablate_bandwidth_model(scale: &FigScale) -> Vec<AblationRow> {
     let variants = [
         Variant {
             label: "sender-side queueing (paper)",
-            cfg: base_cfg(scale, false),
+            cfg: base_cfg(scale),
             net: NetConfig::paper_model(),
         },
         Variant {
             label: "full store-and-forward",
-            cfg: base_cfg(scale, false),
+            cfg: base_cfg(scale),
             net: NetConfig::default(),
         },
     ];
     pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale, scale.seeds[0], false)
+        run_variant(v, scale)
     })
 }
 
@@ -225,15 +193,6 @@ mod tests {
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.received_pct > 95.0, "{}: {:.1}%", r.label, r.received_pct);
-        }
-    }
-
-    #[test]
-    fn window_ablation_runs_under_churn() {
-        let rows = ablate_window(&tiny());
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.received_pct > 50.0, "{}: {:.1}%", r.label, r.received_pct);
         }
     }
 

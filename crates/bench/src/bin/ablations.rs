@@ -22,14 +22,13 @@ fn main() {
     };
 
     type Study = fn(&FigScale) -> Vec<ablation::AblationRow>;
-    let studies: [(&str, Study); 4] = [
+    // No study B: it compared Eq. 2's prefetch window, which never binds
+    // and is not modelled (DESIGN.md §4). The other letters keep the names
+    // EXPERIMENTS.md and results/ablations.txt use.
+    let studies: [(&str, Study); 3] = [
         (
             "Ablation A: provider selection (sufficient-bandwidth vs random)",
             ablation::ablate_selection,
-        ),
-        (
-            "Ablation B: prefetch window (adaptive Eq. 2 vs fixed), under churn",
-            ablation::ablate_window,
         ),
         (
             "Ablation C: tier mode (flat §IV ring vs hierarchical §III)",

@@ -7,8 +7,8 @@
 //!   metrics from the same simulation.
 //! * [`figs`] — one generator per paper figure, parallel across sweep
 //!   points and seeds.
-//! * [`ablation`] — design-choice studies (provider selection, adaptive
-//!   window, tier mode, bandwidth model).
+//! * [`ablation`] — design-choice studies (provider selection, tier mode,
+//!   bandwidth model).
 //! * [`sweep`] — the parallel, deterministic batch-experiment harness:
 //!   grid expansion, a scoped-thread pool, per-cell determinism proofs,
 //!   multi-seed aggregation and JSON/table reports.

@@ -176,9 +176,8 @@ fn extract<P: Protocol>(
     // One fold over the reception slab yields every slab-derived statistic
     // — both per-second timelines, the mesh delay, the fill-at-offset means
     // and the received percentage — in O(pairs + seconds) instead of one
-    // O(pairs) pass per metric. The fold replays each metric's accumulation
-    // order, so every derived float is bit-identical to the per-metric
-    // originals (asserted in `dco-metrics`' observer tests).
+    // O(pairs) pass per metric. Each statistic is pinned bit for bit
+    // against the retained reference model (`dco-metrics` property tests).
     let fold = obs.fold_figures(
         horizon,
         &[dco_sim::time::SimDuration::from_secs(2), fill_offset],

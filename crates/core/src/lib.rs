@@ -7,7 +7,6 @@
 //!
 //! * [`chunk`] — chunk naming (`channel + timestamp`) and ring IDs.
 //! * [`buffer`] — playback buffers / buffer-map bitmaps.
-//! * [`window`] — the adaptive prefetching window (Eq. 2).
 //! * [`longevity`] — the Cox proportional-hazards stability model (Eq. 1).
 //! * [`index`] — coordinator index tables and the sufficient-bandwidth
 //!   provider selection rule.
@@ -28,8 +27,8 @@
 //!     sim.schedule_join(id, SimTime::ZERO);
 //! }
 //! sim.run_until(SimTime::from_secs(30));
-//! let done = sim.protocol().obs.received_percentage(SimTime::from_secs(30));
-//! assert!(done > 99.0);
+//! let done = sim.protocol().obs.fold_figures(SimTime::from_secs(30), &[]);
+//! assert!(done.received_pct > 99.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +39,6 @@ pub mod chunk;
 pub mod index;
 pub mod longevity;
 pub mod proto;
-pub mod window;
 pub mod wire;
 
 pub use buffer::BufferMap;
@@ -48,4 +46,3 @@ pub use chunk::{ChunkNamer, ChunkSeq};
 pub use index::{ChunkIndex, IndexTable, SelectPolicy};
 pub use longevity::Covariates;
 pub use proto::{DcoConfig, DcoMsg, DcoProtocol, DcoTimer, Role, TierMode};
-pub use window::PrefetchWindow;

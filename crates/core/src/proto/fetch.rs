@@ -5,8 +5,7 @@ use dco_dht::chord::FIND_TTL;
 use dco_sim::prelude::*;
 use dco_sim::smallvec::SmallVec;
 
-use crate::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL, CHUNK_SIZE};
-use crate::window::BASE_CHUNKS;
+use crate::chunk::{latest_at, ChunkSeq, CHUNK_SIZE};
 
 use super::{
     DcoMsg, DcoProtocol, DcoTimer, Role, BUSY_BACKLOG, FETCH_TICK, MAX_INFLIGHT, REPORT_BATCH,
@@ -20,8 +19,8 @@ impl DcoProtocol {
 
     /// Algorithm 1 lines 1–4: "if N needs to buffer the next chunk, generate
     /// the chunk ID and send Lookup(ID)". Runs every [`FETCH_TICK`]; issues up
-    /// to the in-flight budget of lookups for the oldest missing chunks in
-    /// the prefetch window.
+    /// to the in-flight budget of lookups for the oldest missing chunks up
+    /// to the live edge.
     pub(super) fn handle_fetch_tick(&mut self, node: NodeId, ctx: &mut Ctx<'_, Self>) {
         if self.is_server(node) || self.state(node).is_none() {
             return;
@@ -40,33 +39,26 @@ impl DcoProtocol {
             return;
         }
         // This session's broadcast comes first: the viewer fetches
-        // `[session_seq, latest]` oldest-first, bounded by the prefetch
-        // window ahead of its playhead (Eq. 2 when adaptive); history is
-        // backfilled strictly below the live band's claim on the slots.
-        let window = if self.cfg.adaptive_window {
-            st.window.size_chunks()
-        } else {
-            BASE_CHUNKS
-        };
+        // `[session_seq, latest]` oldest-first; history is backfilled
+        // strictly below the live band's claim on the slots. (Eq. 2's
+        // prefetch window is not modelled: the playhead never trails the
+        // live edge by more than one chunk, so a window of one chunk or
+        // more would end at `latest` anyway; DESIGN.md §4.)
         let inflight = self.pending.len(node.index()) + self.lookups.len(node.index());
         let budget = MAX_INFLIGHT.saturating_sub(inflight);
         if budget == 0 {
             return;
         }
-        let elapsed_chunks =
-            (now.saturating_since(st.joined_at).as_micros() / CHUNK_INTERVAL.as_micros()) as u32;
-        let playhead = ChunkSeq(st.session_seq.0.saturating_add(elapsed_chunks));
-        let end = ChunkSeq(playhead.0.saturating_add(window).min(latest.0));
         let session_start = st.session_seq.max(st.first_seq);
         // The selection stays inline (in-flight budgets are single-digit)
         // and scans the buffer map lazily — this tick fires on every node
         // every `FETCH_TICK` and must not allocate on the common all-caught-
         // up path.
         let mut wanted: SmallVec<ChunkSeq, 8> = SmallVec::new();
-        if end >= session_start {
+        if latest >= session_start {
             wanted.extend(
                 st.buffer
-                    .missing_in_iter(session_start, end)
+                    .missing_in_iter(session_start, latest)
                     .filter(|s| {
                         !self.pending.contains(node.index(), s.0)
                             && !self.lookups.contains(node.index(), s.0)
@@ -135,16 +127,10 @@ impl DcoProtocol {
             return;
         };
         st.coord_failures = 0;
-        let answer = match provider {
-            Some(p) => Some((p, st.buffer.has(seq))),
-            None => {
-                // No provider known yet: count a fetch failure and retry on
-                // the next tick (the window inflates per Eq. 2).
-                st.window.record_failure();
-                None
-            }
-        };
+        let answer = provider.map(|p| (p, st.buffer.has(seq)));
         self.lookups.remove(node.index(), seq.0);
+        // No provider known yet: count a fetch failure and retry on the
+        // next tick.
         let Some((p, already_buffered)) = answer else {
             self.fetch_failures += 1;
             return;
@@ -206,7 +192,6 @@ impl DcoProtocol {
         if !st.buffer.insert(seq) {
             return; // duplicate
         }
-        st.window.record_success();
         st.covariates.buffering_level = st.buffer.buffering_level(st.first_seq);
         self.obs.record_received(seq.0, node, now);
         self.start_insert(node, seq, ctx);
@@ -220,8 +205,6 @@ impl DcoProtocol {
             return;
         }
         if self.pending.remove(node.index(), seq.0).is_some() {
-            let st = self.state_mut(node).expect("checked above");
-            st.window.record_failure();
             self.fetch_failures += 1;
         }
     }
@@ -239,8 +222,6 @@ impl DcoProtocol {
         let removed =
             self.state(node).is_some() && self.pending.remove(node.index(), seq.0).is_some();
         if removed {
-            let st = self.state_mut(node).expect("checked above");
-            st.window.record_failure();
             self.fetch_failures += 1;
             self.start_lookup(node, seq, Some(from), ctx);
         }
@@ -297,8 +278,6 @@ impl DcoProtocol {
             self.state(node).is_some() && self.pending.get(node.index(), seq.0) == Some(provider.0);
         if still_waiting {
             self.pending.remove(node.index(), seq.0);
-            let st = self.state_mut(node).expect("checked above");
-            st.window.record_failure();
             self.fetch_failures += 1;
             self.start_lookup(node, seq, Some(provider), ctx);
         }
@@ -321,7 +300,6 @@ impl DcoProtocol {
                 return; // answered in time
             }
             let st = self.state_mut(node).expect("checked above");
-            st.window.record_failure();
             if st.role == Role::Client {
                 st.coord_failures += 1;
                 if st.coord_failures >= 3 {

@@ -43,7 +43,6 @@ use crate::buffer::BufferMap;
 use crate::chunk::{ChunkNamer, ChunkSeq};
 use crate::index::{ChunkIndex, IndexTable, SelectPolicy};
 use crate::longevity::Covariates;
-use crate::window::PrefetchWindow;
 
 /// Period of the fetch loop (DCO) and the pull loop (the pull baseline).
 pub const FETCH_TICK: SimDuration = SimDuration::from_millis(250);
@@ -108,8 +107,6 @@ pub struct DcoConfig {
     pub static_ring: bool,
     /// Tier organization.
     pub tier: TierMode,
-    /// Apply Eq. 2 adaptation (ablation switch).
-    pub adaptive_window: bool,
 }
 
 impl DcoConfig {
@@ -123,7 +120,6 @@ impl DcoConfig {
             select_policy: SelectPolicy::SufficientBandwidth,
             static_ring: true,
             tier: TierMode::Flat,
-            adaptive_window: true,
         }
     }
 
@@ -311,7 +307,6 @@ struct NodeState {
     /// in for) and backfills older history with leftover budget.
     session_seq: ChunkSeq,
     index: IndexTable,
-    window: PrefetchWindow,
     joined_at: SimTime,
     /// Hierarchical: my coordinator.
     coordinator: Option<NodeId>,
@@ -339,7 +334,6 @@ impl NodeState {
     fn new(
         role: Role,
         n_chunks: u32,
-        my_down: Kbps,
         now: SimTime,
         first_seq: ChunkSeq,
         session_seq: ChunkSeq,
@@ -350,7 +344,6 @@ impl NodeState {
             first_seq,
             session_seq,
             index: IndexTable::new(),
-            window: PrefetchWindow::new(my_down),
             joined_at: now,
             coordinator: None,
             stable_clients: SmallVec::new(),

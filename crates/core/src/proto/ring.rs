@@ -43,11 +43,9 @@ impl DcoProtocol {
                 TierMode::Hierarchical { .. } => Role::Client,
             }
         };
-        let down = ctx.download_rate(node);
         self.nodes[node.index()] = Some(NodeState::new(
             role,
             self.cfg.n_chunks,
-            down,
             now,
             first_seq,
             session_seq,

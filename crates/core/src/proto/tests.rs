@@ -33,7 +33,8 @@ fn static_flat_delivers_every_chunk() {
         150,
         "missing {:?}",
         (0..10u32)
-            .map(|s| (s, p.obs.fill_ratio(s, SimTime::from_secs(60))))
+            .flat_map(|s| (1..16u32).map(move |n| (s, NodeId(n))))
+            .filter(|&(s, n)| p.obs.received_at(s, n).is_none())
             .collect::<Vec<_>>()
     );
     // Reception spreads the provider set: the server is not the only one
@@ -54,7 +55,10 @@ fn mesh_delay_is_bounded_in_small_static_network() {
     let mut sim = build(cfg, 7);
     sim.run_until(SimTime::from_secs(60));
     let p = sim.protocol();
-    let delay = p.obs.mean_mesh_delay(SimTime::from_secs(60));
+    let delay = p
+        .obs
+        .fold_figures(SimTime::from_secs(60), &[])
+        .mean_mesh_delay;
     assert!(delay > 0.0);
     assert!(delay < 20.0, "mean mesh delay {delay}s is implausible");
 }
@@ -163,7 +167,8 @@ fn churn_mode_sustains_high_delivery() {
     let pct = sim
         .protocol()
         .obs
-        .received_percentage(SimTime::from_secs(120));
+        .fold_figures(SimTime::from_secs(120), &[])
+        .received_pct;
     assert!(pct > 85.0, "received only {pct:.1}% under churn");
 }
 
@@ -174,7 +179,7 @@ fn dynamic_ring_forms_without_churn() {
     sim.run_until(SimTime::from_secs(90));
     let p = sim.protocol();
     assert_eq!(p.chord().member_count(), 20, "all nodes joined the ring");
-    let pct = p.obs.received_percentage(SimTime::from_secs(90));
+    let pct = p.obs.fold_figures(SimTime::from_secs(90), &[]).received_pct;
     assert!(pct > 99.0, "only {pct:.1}% received");
 }
 
@@ -194,7 +199,7 @@ fn hierarchical_clients_attach_and_stream() {
     for i in 1..16u32 {
         assert_eq!(p.role_of(NodeId(i)), Some(Role::Client));
     }
-    let pct = p.obs.received_percentage(SimTime::from_secs(80));
+    let pct = p.obs.fold_figures(SimTime::from_secs(80), &[]).received_pct;
     assert!(
         pct > 99.0,
         "clients streamed through the coordinator: {pct:.1}%"
@@ -221,14 +226,18 @@ fn hierarchical_overload_promotes_stable_clients() {
         p.chord().member_count() > 1,
         "promoted nodes joined the ring"
     );
-    let pct = p.obs.received_percentage(SimTime::from_secs(120));
+    let pct = p
+        .obs
+        .fold_figures(SimTime::from_secs(120), &[])
+        .received_pct;
     assert!(pct > 97.0, "delivery held through promotions: {pct:.1}%");
 }
 
 #[test]
-fn adaptive_window_reacts_to_failures() {
-    // Indirect end-to-end check: a run with fetch failures must widen some
-    // node's window beyond the base.
+fn a_mid_stream_kill_costs_fetch_failures_not_delivery() {
+    // A node killed mid-stream strands the requests and lookups aimed at
+    // it: the run must count fetch failures, and the retries must still
+    // deliver.
     let cfg = DcoConfig::paper_churn(10, 20);
     let mut sim = build(cfg, 17);
     sim.schedule_leave(NodeId(3), SimTime::from_secs(6), false);
@@ -238,7 +247,7 @@ fn adaptive_window_reacts_to_failures() {
         p.fetch_failures > 0,
         "the kill must cause at least one timeout"
     );
-    assert!(p.obs.received_percentage(SimTime::from_secs(90)) > 95.0);
+    assert!(p.obs.fold_figures(SimTime::from_secs(90), &[]).received_pct > 95.0);
 }
 
 #[test]
@@ -285,7 +294,10 @@ fn hierarchical_coordinator_failure_reattaches_clients() {
         }
     }
     // The stream still flowed for the survivors.
-    let pct = p.obs.received_percentage(SimTime::from_secs(140));
+    let pct = p
+        .obs
+        .fold_figures(SimTime::from_secs(140), &[])
+        .received_pct;
     assert!(
         pct > 90.0,
         "delivery collapsed after coordinator failure: {pct:.1}%"
@@ -403,7 +415,10 @@ fn departure_mid_promotion_recovers() {
         }
     }
     // Delivery held for the nodes that lived through it.
-    let pct = p.obs.received_percentage(SimTime::from_secs(140));
+    let pct = p
+        .obs
+        .fold_figures(SimTime::from_secs(140), &[])
+        .received_pct;
     assert!(pct > 85.0, "delivery collapsed: {pct:.1}%");
 }
 

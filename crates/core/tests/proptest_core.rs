@@ -1,12 +1,10 @@
 //! Property tests for DCO's core data structures: index-table selection,
-//! the adaptive window (Eq. 2), buffer maps and chunk naming. Driven by
-//! the in-tree `dco-testkit` (deterministic seeds, `DCO_TESTKIT_REPLAY`
-//! to reproduce a failure).
+//! buffer maps and chunk naming. Driven by the in-tree `dco-testkit`
+//! (deterministic seeds, `DCO_TESTKIT_REPLAY` to reproduce a failure).
 
 use dco_core::buffer::BufferMap;
 use dco_core::chunk::{ChunkNamer, ChunkSeq};
 use dco_core::index::{ChunkIndex, IndexTable, SelectPolicy};
-use dco_core::window::{PrefetchWindow, AVG_BANDWIDTH, BASE_CHUNKS, MAX_CHUNKS, MIN_CHUNKS};
 use dco_dht::id::ChordId;
 use dco_sim::net::Kbps;
 use dco_sim::node::NodeId;
@@ -83,64 +81,6 @@ fn selection_respects_exclusion_and_floor() {
             // registration refresh; verify via the pick's own record.
             tk_assert!(pick.avail >= Kbps(floor), "picked {pick:?} below floor");
         }
-        Ok(())
-    });
-}
-
-/// Eq. 2 shape: `W_pf = W·B/(b·(1−p_f))` is monotone non-increasing in
-/// the node's bandwidth `b` and non-decreasing in the failure estimate
-/// `p_f`, matches the closed form away from the clamps, and never leaves
-/// `[MIN_CHUNKS, MAX_CHUNKS]`.
-#[test]
-fn window_matches_eq2_and_is_monotone_and_clamped() {
-    check("window_matches_eq2_and_is_monotone_and_clamped", 128, |g| {
-        let b1 = g.u64_in(50, 2000) as u32;
-        let b2 = g.u64_in(50, 2000) as u32;
-        let failures = g.usize_in(0, 30);
-
-        // Monotone in b.
-        let (slow, fast) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
-        let w_slow = PrefetchWindow::new(Kbps(slow)).size_chunks();
-        let w_fast = PrefetchWindow::new(Kbps(fast)).size_chunks();
-        tk_assert!(
-            w_slow >= w_fast,
-            "slower node must not get a smaller window"
-        );
-
-        // Closed form away from the clamps (p_f = 0 for a fresh window).
-        let w = PrefetchWindow::new(Kbps(b1));
-        let closed = (BASE_CHUNKS as f64 * AVG_BANDWIDTH.0 as f64 / b1 as f64).ceil() as u32;
-        if closed > MIN_CHUNKS && closed < MAX_CHUNKS {
-            tk_assert_eq!(w.size_chunks(), closed, "Eq. 2 closed form at p_f = 0");
-        }
-
-        // Monotone in p_f: each failure raises the EWMA estimate, and the
-        // window never shrinks along the way. Also clamped throughout.
-        let mut w = PrefetchWindow::new(Kbps(600));
-        let mut prev_size = w.size_chunks();
-        let mut prev_pf = w.failure_rate();
-        for _ in 0..failures {
-            w.record_failure();
-            let pf = w.failure_rate();
-            let size = w.size_chunks();
-            tk_assert!(pf >= prev_pf, "p_f EWMA must rise on failure");
-            tk_assert!(size >= prev_size, "window must not shrink as p_f rises");
-            tk_assert!((MIN_CHUNKS..=MAX_CHUNKS).contains(&size));
-            prev_pf = pf;
-            prev_size = size;
-        }
-
-        // Boundary clamping: absurd bandwidths pin to the clamps.
-        tk_assert_eq!(
-            PrefetchWindow::new(Kbps(0)).size_chunks(),
-            MAX_CHUNKS,
-            "b → 0 clamps high without dividing by zero"
-        );
-        tk_assert_eq!(
-            PrefetchWindow::new(Kbps(u32::MAX)).size_chunks(),
-            MIN_CHUNKS,
-            "b → ∞ clamps low"
-        );
         Ok(())
     });
 }

@@ -44,24 +44,6 @@ use dco_sim::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
 use crate::bitgrid::BitGrid;
 
-/// Read access to a reception record: the interface the playback replayer
-/// ([`crate::playback`]) and the figure extractors need. Implemented by the
-/// flat [`StreamObserver`] and by the retained reference model
-/// ([`crate::reference::RetainedObserver`]), so QoS replay results can be
-/// compared bit-for-bit across layouts.
-pub trait ReceptionLog {
-    /// Number of node slots.
-    fn n_nodes(&self) -> usize;
-    /// Number of chunk slots.
-    fn n_chunks(&self) -> usize;
-    /// Generation time of chunk `seq`, if recorded.
-    fn generated_at(&self, seq: u32) -> Option<SimTime>;
-    /// First reception of `seq` by `node`, if any.
-    fn received_at(&self, seq: u32, node: NodeId) -> Option<SimTime>;
-    /// True if `(seq, node)` is in the audience.
-    fn is_expected(&self, seq: u32, node: NodeId) -> bool;
-}
-
 /// Reception record for one simulation run (flat single-slab layout).
 #[derive(Clone, Debug)]
 pub struct StreamObserver {
@@ -191,165 +173,22 @@ impl StreamObserver {
     }
 
     // ------------------------------------------------------------------
-    // Metric 1: mesh delay
-    // ------------------------------------------------------------------
-
-    /// Generation → last expected receiver for chunk `seq`.
-    ///
-    /// If any audience member never received the chunk, the delay is capped
-    /// at `horizon - generated` (the chunk did not finish spreading within
-    /// the measured run).
-    pub fn mesh_delay(&self, seq: u32, horizon: SimTime) -> Option<SimDuration> {
-        let gen = self.generated_at(seq)?;
-        let row = self.row(seq as usize);
-        let mut last = gen;
-        let mut expected_any = false;
-        for node in self.expected.ones(seq as usize) {
-            expected_any = true;
-            let t = row[node];
-            if t == SimTime::MAX {
-                return Some(horizon.saturating_since(gen));
-            }
-            last = last.max(t);
-        }
-        expected_any.then(|| last - gen)
-    }
-
-    /// Mean mesh delay over all generated chunks (seconds), with unreceived
-    /// chunks capped at the horizon.
-    pub fn mean_mesh_delay(&self, horizon: SimTime) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for seq in 0..self.generated.len() as u32 {
-            if let Some(d) = self.mesh_delay(seq, horizon) {
-                sum += d.as_secs_f64();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Metric 2: fill ratio
-    // ------------------------------------------------------------------
-
-    /// Fraction of the audience of `seq` holding the chunk at instant `at`.
-    pub fn fill_ratio(&self, seq: u32, at: SimTime) -> Option<f64> {
-        self.generated_at(seq)?;
-        let row = self.row(seq as usize);
-        let mut have = 0usize;
-        let mut audience = 0usize;
-        for node in self.expected.ones(seq as usize) {
-            audience += 1;
-            if row[node] <= at {
-                have += 1;
-            }
-        }
-        (audience > 0).then(|| have as f64 / audience as f64)
-    }
-
-    /// Mean over all chunks of the fill ratio measured `offset` after each
-    /// chunk's generation (the paper's Fig. 6 statistic, offset = 2 s).
-    pub fn mean_fill_ratio_at_offset(&self, offset: SimDuration) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for seq in 0..self.generated.len() as u32 {
-            if let Some(gen) = self.generated_at(seq) {
-                if let Some(f) = self.fill_ratio(seq, gen + offset) {
-                    sum += f;
-                    n += 1;
-                }
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Global fill ratio at instant `at`: received (chunk, node) pairs over
-    /// all expected pairs (the paper's Fig. 7 timeline statistic).
-    pub fn global_fill_ratio(&self, at: SimTime) -> f64 {
-        let mut have = 0usize;
-        let mut total = 0usize;
-        for seq in 0..self.generated.len() {
-            if self.generated[seq] == SimTime::MAX {
-                continue;
-            }
-            let row = self.row(seq);
-            for node in self.expected.ones(seq) {
-                total += 1;
-                if row[node] <= at {
-                    have += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            have as f64 / total as f64
-        }
-    }
-
-    /// One-pass per-second cumulative reception counts: element `t` is the
-    /// number of expected pairs received by instant `t` seconds, i.e.
-    /// exactly the numerator of [`StreamObserver::global_fill_ratio`] at
-    /// `SimTime::from_secs(t)`; the returned total is its denominator.
-    ///
-    /// The figure extractors sample the whole-second timeline (Figs. 7,
-    /// 11–12); folding the slab once instead of per sample turns an
-    /// O(pairs × seconds) extraction into O(pairs + seconds) — at
-    /// N = 100k that is the difference between seconds and minutes.
-    pub fn received_by_second(&self, horizon_secs: u64) -> (Vec<u64>, u64) {
-        let mut cumulative = vec![0u64; horizon_secs as usize + 1];
-        let mut total = 0u64;
-        for seq in 0..self.generated.len() {
-            if self.generated[seq] == SimTime::MAX {
-                continue;
-            }
-            let row = self.row(seq);
-            for node in self.expected.ones(seq) {
-                total += 1;
-                let t = row[node];
-                if t == SimTime::MAX {
-                    continue;
-                }
-                // First whole second at which `t <= from_secs(sec)`.
-                let sec = t.as_micros().div_ceil(MICROS_PER_SEC);
-                if sec <= horizon_secs {
-                    cumulative[sec as usize] += 1;
-                }
-            }
-        }
-        for i in 1..cumulative.len() {
-            cumulative[i] += cumulative[i - 1];
-        }
-        (cumulative, total)
-    }
-
-    // ------------------------------------------------------------------
-    // Single-pass figure fold
+    // Figure metrics
     // ------------------------------------------------------------------
 
     /// Every slab-derived figure statistic, folded in **one** pass over the
-    /// reception record: the per-second cumulative reception counts (as
-    /// [`StreamObserver::received_by_second`]), the mean mesh delay, the
-    /// mean fill ratio at each requested offset, and the percentage
-    /// received by `horizon`.
+    /// reception record: the per-second cumulative reception counts, the
+    /// mean mesh delay, the mean fill ratio at each requested offset, and
+    /// the percentage received by `horizon`. This is the only place the
+    /// paper's slab metrics are computed: every runner, the sharded merge
+    /// and the examples read them here.
     ///
-    /// The per-metric methods each walk the whole O(nodes × chunks) slab;
-    /// a figures extraction calls five of them. At churn scale (N ≥ 50k)
-    /// the slab is the dominant allocation, so walking it once instead of
-    /// five times keeps the extraction phase proportional to the record,
-    /// not to the metric count. Accumulation order per metric matches the
-    /// per-metric methods exactly, so every derived float is bit-identical
-    /// to its slow-path counterpart (asserted by a unit test and by the
-    /// pinned digest table in `tests/determinism.rs`).
+    /// At churn scale (N ≥ 50k) the slab is the dominant allocation, so one
+    /// walk keeps the extraction phase proportional to the record, not to
+    /// the metric count. Every statistic is pinned bit for bit against the
+    /// retained reference model
+    /// ([`RetainedObserver`](crate::reference::RetainedObserver)) by a
+    /// property test (`crates/metrics/tests/proptest_observer.rs`).
     pub fn fold_figures(&self, horizon: SimTime, offsets: &[SimDuration]) -> FigureMetrics {
         let horizon_secs = horizon.as_secs();
         let mut cumulative = vec![0u64; horizon_secs as usize + 1];
@@ -432,16 +271,6 @@ impl StreamObserver {
                 100.0 * (have_by_deadline as f64 / total as f64)
             },
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Metric 4: percentage of received chunks
-    // ------------------------------------------------------------------
-
-    /// Received expected pairs by `deadline`, over all expected pairs,
-    /// in percent (the paper's Figs. 11–12 statistic).
-    pub fn received_percentage(&self, deadline: SimTime) -> f64 {
-        100.0 * self.global_fill_ratio(deadline)
     }
 
     /// Total expected `(chunk, node)` pairs.
@@ -555,28 +384,6 @@ pub struct FigureMetrics {
     pub received_pct: f64,
 }
 
-impl ReceptionLog for StreamObserver {
-    fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    fn n_chunks(&self) -> usize {
-        self.generated.len()
-    }
-
-    fn generated_at(&self, seq: u32) -> Option<SimTime> {
-        StreamObserver::generated_at(self, seq)
-    }
-
-    fn received_at(&self, seq: u32, node: NodeId) -> Option<SimTime> {
-        StreamObserver::received_at(self, seq, node)
-    }
-
-    fn is_expected(&self, seq: u32, node: NodeId) -> bool {
-        StreamObserver::is_expected(self, seq, node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,122 +444,60 @@ mod tests {
         assert_eq!(o.duplicate_receptions(), 2);
     }
 
+    fn secs(s: u64) -> SimDuration {
+        SimDuration::from_secs(s)
+    }
+
     #[test]
-    fn mesh_delay_complete_chunk() {
-        let o = observer();
+    fn mesh_delay_is_last_arrival_capped_at_the_horizon() {
+        let mut o = observer();
+        // Chunk 0: last receiver at 14, generated at 10 → 4 s. Chunk 1:
+        // node 2 never got it → horizon 100 − generation 11 = 89 s.
         assert_eq!(
-            o.mesh_delay(0, t(100)),
-            Some(SimDuration::from_secs(4)),
-            "last receiver at 14, generated at 10"
+            o.fold_figures(t(100), &[]).mean_mesh_delay,
+            (4.0 + 89.0) / 2.0
         );
-    }
-
-    #[test]
-    fn mesh_delay_incomplete_chunk_capped_at_horizon() {
-        let o = observer();
+        // The cap moves with the horizon; the complete chunk does not.
         assert_eq!(
-            o.mesh_delay(1, t(100)),
-            Some(SimDuration::from_secs(89)),
-            "node 2 never got chunk 1: horizon 100 - gen 11"
+            o.fold_figures(t(50), &[]).mean_mesh_delay,
+            (4.0 + 39.0) / 2.0
         );
+        o.record_received(1, NodeId(2), t(15));
+        assert_eq!(o.fold_figures(t(100), &[]).mean_mesh_delay, 4.0);
     }
 
     #[test]
-    fn mean_mesh_delay() {
+    fn fill_ratio_at_offsets() {
         let o = observer();
-        let mean = o.mean_mesh_delay(t(100));
-        assert!((mean - (4.0 + 89.0) / 2.0).abs() < 1e-9);
+        let f = o.fold_figures(t(100), &[secs(0), secs(1), secs(2), secs(4)]);
+        // +0 s: nobody; +1 s: one of three for both chunks; +2 s: two of
+        // three for both; +4 s: chunk 0 complete, chunk 1 still 2/3.
+        let want = [0.0, 1.0 / 3.0, 2.0 / 3.0, (1.0 + 2.0 / 3.0) / 2.0];
+        for (got, want) in f.fill_at_offsets.iter().zip(want) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]
-    fn fill_ratio_progression() {
+    fn received_timeline_and_percentage() {
         let o = observer();
-        assert_eq!(o.fill_ratio(0, t(10)), Some(0.0));
-        assert_eq!(o.fill_ratio(0, t(11)), Some(1.0 / 3.0));
-        assert_eq!(o.fill_ratio(0, t(12)), Some(2.0 / 3.0));
-        assert_eq!(o.fill_ratio(0, t(14)), Some(1.0));
-        assert_eq!(o.fill_ratio(9, t(14)), None, "unknown chunk");
-    }
-
-    #[test]
-    fn mean_fill_ratio_at_offset() {
-        let o = observer();
-        // Offset 2 s: chunk 0 at t=12 → 2/3; chunk 1 at t=13 → 2/3.
-        let f = o.mean_fill_ratio_at_offset(SimDuration::from_secs(2));
-        assert!((f - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn global_fill_and_received_percentage() {
-        let o = observer();
-        // By t=13: chunk0 {0,1}, chunk1 {0,1} → 4 of 6.
-        assert!((o.global_fill_ratio(t(13)) - 4.0 / 6.0).abs() < 1e-9);
-        assert!((o.received_percentage(t(100)) - 100.0 * 5.0 / 6.0).abs() < 1e-9);
+        let f = o.fold_figures(t(100), &[]);
+        assert_eq!(f.received_by_second.len(), 101);
+        assert_eq!(f.expected_pairs, 6);
+        // By t=13: chunk0 {0,1}, chunk1 {0,1} → 4 of 6; by 14 all but one.
+        assert_eq!(f.received_by_second[10..16], [0, 1, 3, 4, 5, 5]);
+        assert!((f.received_pct - 100.0 * 5.0 / 6.0).abs() < 1e-9);
         assert_eq!(o.expected_pairs(), 6);
         assert_eq!(o.received_pairs(), 5);
-    }
-
-    #[test]
-    fn received_by_second_matches_global_fill() {
-        let o = observer();
-        let horizon = 20u64;
-        let (cum, total) = o.received_by_second(horizon);
-        assert_eq!(cum.len() as u64, horizon + 1);
-        for sec in 0..=horizon {
-            let direct = o.global_fill_ratio(t(sec));
-            let fast = if total == 0 {
-                0.0
-            } else {
-                cum[sec as usize] as f64 / total as f64
-            };
-            assert_eq!(fast, direct, "second {sec}");
-        }
         // Sub-second arrivals land in the *next* whole-second bucket.
         let mut o2 = StreamObserver::new(1, 1);
         o2.record_generated(0, SimTime::ZERO);
         o2.mark_expected(0, NodeId(0));
         o2.record_received(0, NodeId(0), SimTime::from_millis(1500));
-        let (cum2, _) = o2.received_by_second(3);
-        assert_eq!(cum2, vec![0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn fold_figures_is_bit_identical_to_per_metric_methods() {
-        // Include an unreceived pair (chunk 1 misses node 2) so the
-        // horizon-cap and missing-pair branches are exercised.
-        let o = observer();
-        let horizon = t(100);
-        let offsets = [SimDuration::from_secs(2), SimDuration::from_millis(3500)];
-        let fold = o.fold_figures(horizon, &offsets);
-        let (cum, total) = o.received_by_second(horizon.as_secs());
-        assert_eq!(fold.received_by_second, cum);
-        assert_eq!(fold.expected_pairs, total);
-        // Floats must match to the bit, not within an epsilon: the fold
-        // replays the same accumulation order as the per-metric passes.
         assert_eq!(
-            fold.mean_mesh_delay.to_bits(),
-            o.mean_mesh_delay(horizon).to_bits()
+            o2.fold_figures(t(3), &[]).received_by_second,
+            vec![0, 0, 1, 1]
         );
-        for (i, &off) in offsets.iter().enumerate() {
-            assert_eq!(
-                fold.fill_at_offsets[i].to_bits(),
-                o.mean_fill_ratio_at_offset(off).to_bits(),
-                "offset {i}"
-            );
-        }
-        assert_eq!(
-            fold.received_pct.to_bits(),
-            o.received_percentage(horizon).to_bits()
-        );
-        // Empty record: all zeros, no division by zero.
-        let empty = StreamObserver::new(4, 0);
-        let f = empty.fold_figures(t(2), &offsets);
-        assert_eq!(f.received_by_second, vec![0, 0, 0]);
-        assert_eq!(
-            (f.expected_pairs, f.mean_mesh_delay, f.received_pct),
-            (0, 0.0, 0.0)
-        );
-        assert_eq!(f.fill_at_offsets, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -763,8 +508,9 @@ mod tests {
         // Node 1 receives but is not expected: ignored by the metrics.
         o.record_received(0, NodeId(1), t(1));
         o.record_received(0, NodeId(0), t(2));
-        assert_eq!(o.fill_ratio(0, t(1)), Some(0.0));
-        assert_eq!(o.fill_ratio(0, t(2)), Some(1.0));
+        let f = o.fold_figures(t(10), &[secs(1), secs(2)]);
+        assert_eq!(f.fill_at_offsets, vec![0.0, 1.0]);
+        assert_eq!(f.expected_pairs, 1);
         assert_eq!(o.expected_pairs(), 1);
     }
 
@@ -779,12 +525,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_observer_metrics_are_zero() {
-        let o = StreamObserver::new(4, 0);
-        assert_eq!(o.mean_mesh_delay(t(10)), 0.0);
-        assert_eq!(o.global_fill_ratio(t(10)), 0.0);
-        assert_eq!(o.mean_fill_ratio_at_offset(SimDuration::from_secs(1)), 0.0);
-        let (cum, total) = o.received_by_second(2);
-        assert_eq!((cum, total), (vec![0, 0, 0], 0));
+    fn empty_record_folds_to_zeros() {
+        let f = StreamObserver::new(4, 0).fold_figures(t(2), &[secs(2), secs(3)]);
+        assert_eq!(f.received_by_second, vec![0, 0, 0]);
+        assert_eq!(
+            (f.expected_pairs, f.mean_mesh_delay, f.received_pct),
+            (0, 0.0, 0.0)
+        );
+        assert_eq!(f.fill_at_offsets, vec![0.0, 0.0]);
     }
 }

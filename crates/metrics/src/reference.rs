@@ -8,10 +8,11 @@
 //! and per pair — and exists for two jobs:
 //!
 //! * the property tests (`crates/metrics/tests/proptest_observer.rs`) pin
-//!   the flat [`StreamObserver`](crate::StreamObserver)'s semantics against
-//!   it on randomized arrival patterns (duplicates and out-of-order
-//!   arrivals included), metric by metric and through the playback
-//!   replayer;
+//!   the flat [`StreamObserver`](crate::StreamObserver) against it on
+//!   randomized arrival patterns (duplicates and out-of-order arrivals
+//!   included): every per-pair lookup, and every statistic of
+//!   [`StreamObserver::fold_figures`](crate::StreamObserver::fold_figures)
+//!   against the per-metric methods here;
 //! * the observer microbenchmark (`cargo bench -p dco-bench --bench micro`)
 //!   measures the record path of both layouts side by side.
 //!
@@ -20,8 +21,6 @@
 
 use dco_sim::node::NodeId;
 use dco_sim::time::{SimDuration, SimTime};
-
-use crate::observer::ReceptionLog;
 
 /// Keep-everything reception record: the semantic reference the flat
 /// observer is property-tested against.
@@ -126,8 +125,8 @@ impl RetainedObserver {
             .sum()
     }
 
-    /// Generation → last expected receiver for chunk `seq` (see
-    /// [`StreamObserver::mesh_delay`](crate::StreamObserver::mesh_delay)).
+    /// Generation → last expected receiver for chunk `seq`; if any
+    /// audience member never received it, `horizon - generated`.
     pub fn mesh_delay(&self, seq: u32, horizon: SimTime) -> Option<SimDuration> {
         let gen = self.generated_at(seq)?;
         let mut last = gen;
@@ -253,28 +252,6 @@ impl RetainedObserver {
             }
         }
         n
-    }
-}
-
-impl ReceptionLog for RetainedObserver {
-    fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    fn n_chunks(&self) -> usize {
-        self.generated.len()
-    }
-
-    fn generated_at(&self, seq: u32) -> Option<SimTime> {
-        RetainedObserver::generated_at(self, seq)
-    }
-
-    fn received_at(&self, seq: u32, node: NodeId) -> Option<SimTime> {
-        RetainedObserver::received_at(self, seq, node)
-    }
-
-    fn is_expected(&self, seq: u32, node: NodeId) -> bool {
-        RetainedObserver::is_expected(self, seq, node)
     }
 }
 

@@ -6,13 +6,13 @@
 //! [`RetainedObserver`] keeps *every* reception instant in nested `Vec`s
 //! and folds at query time. These tests drive both through identical
 //! randomized recording scripts — duplicate arrivals, out-of-order
-//! arrivals, sparse audiences, on-demand growth — and require every metric
-//! and every playback QoS report to agree exactly. Driven by the in-tree
+//! arrivals, sparse audiences, on-demand growth — and require every
+//! per-pair lookup and every statistic of the figure fold to agree
+//! exactly. Driven by the in-tree
 //! `dco-testkit` (deterministic seeds, `DCO_TESTKIT_REPLAY` to reproduce a
 //! failure).
 
-use dco_metrics::playback::{mean_continuity, replay, PlayerPolicy};
-use dco_metrics::{ReceptionLog, RetainedObserver, StreamObserver};
+use dco_metrics::{RetainedObserver, StreamObserver};
 use dco_sim::node::NodeId;
 use dco_sim::time::{SimDuration, SimTime};
 use dco_testkit::{check, tk_assert_eq, Gen};
@@ -23,6 +23,17 @@ struct Script {
     n_chunks: usize,
     flat: StreamObserver,
     retained: RetainedObserver,
+}
+
+/// Milliseconds in `[0, max_ms]`, a whole second half the time: the
+/// metrics compare instants with `<=` against whole-second horizons and
+/// `generation + offset` deadlines, so exact ties must be common.
+fn millis(g: &mut Gen, max_ms: u64) -> u64 {
+    if g.weighted_bool(0.5) {
+        g.u64_in(0, max_ms / 1_000 + 1) * 1_000
+    } else {
+        g.u64_in(0, max_ms + 1)
+    }
 }
 
 /// Builds the pair by replaying one random script into both layouts.
@@ -41,7 +52,7 @@ fn gen_script(g: &mut Gen) -> Script {
     // against double generation, matching real harness usage).
     for seq in 0..max_chunks as u32 {
         if g.weighted_bool(0.8) {
-            let t = SimTime::from_millis(g.u64_in(0, 20_001));
+            let t = SimTime::from_millis(millis(g, 20_000));
             flat.record_generated(seq, t);
             retained.record_generated(seq, t);
         }
@@ -60,7 +71,7 @@ fn gen_script(g: &mut Gen) -> Script {
     for _ in 0..g.usize_in(0, 121) {
         let seq = g.u64_in(0, max_chunks as u64) as u32;
         let node = NodeId(g.u64_in(0, n_nodes as u64) as u32);
-        let t = SimTime::from_millis(g.u64_in(0, 20_001));
+        let t = SimTime::from_millis(millis(g, 20_000));
         flat.record_received(seq, node, t);
         retained.record_received(seq, node, t);
     }
@@ -119,98 +130,54 @@ fn flat_observer_matches_retained_model_per_pair() {
     });
 }
 
+/// The one figure fold against the retained model's per-metric
+/// recomputation: every statistic the runners read, bit for bit.
 #[test]
 fn flat_observer_matches_retained_model_metrics() {
     check("flat_observer_matches_retained_model_metrics", 300, |g| {
         let s = gen_script(g);
         let horizon = SimTime::from_secs(g.u64_in(0, 31));
-        for seq in 0..s.n_chunks as u32 {
-            tk_assert_eq!(
-                s.flat.mesh_delay(seq, horizon),
-                s.retained.mesh_delay(seq, horizon),
-                "mesh_delay({seq})"
-            );
-            tk_assert_eq!(
-                s.flat.fill_ratio(seq, horizon),
-                s.retained.fill_ratio(seq, horizon),
-                "fill_ratio({seq})"
-            );
-        }
+        let offsets = [
+            SimDuration::from_millis(millis(g, 5_000)),
+            SimDuration::from_millis(millis(g, 5_000)),
+        ];
+        let f = s.flat.fold_figures(horizon, &offsets);
         tk_assert_eq!(
-            s.flat.mean_mesh_delay(horizon),
-            s.retained.mean_mesh_delay(horizon),
+            f.mean_mesh_delay.to_bits(),
+            s.retained.mean_mesh_delay(horizon).to_bits(),
             "mean_mesh_delay"
         );
-        let offset = SimDuration::from_millis(g.u64_in(0, 5_001));
-        tk_assert_eq!(
-            s.flat.mean_fill_ratio_at_offset(offset),
-            s.retained.mean_fill_ratio_at_offset(offset),
-            "mean_fill_ratio_at_offset"
-        );
-        for sec in 0..=30u64 {
-            let at = SimTime::from_secs(sec);
+        for (i, &off) in offsets.iter().enumerate() {
             tk_assert_eq!(
-                s.flat.global_fill_ratio(at),
-                s.retained.global_fill_ratio(at),
-                "global_fill_ratio({sec}s)"
+                f.fill_at_offsets[i].to_bits(),
+                s.retained.mean_fill_ratio_at_offset(off).to_bits(),
+                "fill_at_offsets[{i}] ({off:?})"
             );
         }
         tk_assert_eq!(
-            s.flat.received_percentage(horizon),
-            s.retained.received_percentage(horizon),
-            "received_percentage"
+            f.received_pct.to_bits(),
+            s.retained.received_percentage(horizon).to_bits(),
+            "received_pct"
         );
-        // The one-pass timeline against the retained model's per-second
-        // recomputation (the figure extractors rely on this equivalence).
-        let (cum, total) = s.flat.received_by_second(30);
-        for sec in 0..=30u64 {
-            let fast = if total == 0 {
+        tk_assert_eq!(
+            f.received_by_second.len() as u64,
+            horizon.as_secs() + 1,
+            "received_by_second length"
+        );
+        for (sec, &have) in f.received_by_second.iter().enumerate() {
+            let fast = if f.expected_pairs == 0 {
                 0.0
             } else {
-                cum[sec as usize] as f64 / total as f64
+                have as f64 / f.expected_pairs as f64
             };
             tk_assert_eq!(
-                fast,
-                s.retained.global_fill_ratio(SimTime::from_secs(sec)),
-                "received_by_second vs retained global_fill_ratio({sec}s)"
+                fast.to_bits(),
+                s.retained
+                    .global_fill_ratio(SimTime::from_secs(sec as u64))
+                    .to_bits(),
+                "received_by_second[{sec}] vs retained global_fill_ratio"
             );
         }
-        Ok(())
-    });
-}
-
-/// Playback QoS (startup delay, stall count/time, continuity) replayed off
-/// both layouts through the shared [`ReceptionLog`] interface.
-#[test]
-fn playback_replay_agrees_across_layouts() {
-    check("playback_replay_agrees_across_layouts", 300, |g| {
-        let s = gen_script(g);
-        let policy = PlayerPolicy {
-            startup_chunks: g.u64_in(1, 5) as u32,
-            chunk_len: SimDuration::from_millis(g.u64_in(100, 2_001)),
-        };
-        let last = s.n_chunks as u32 - 1;
-        let first = g.u64_in(0, u64::from(last) + 1) as u32;
-        for node in 0..s.n_nodes as u32 {
-            let node = NodeId(node);
-            tk_assert_eq!(
-                replay(&s.flat, node, first, last, policy),
-                replay(&s.retained, node, first, last, policy),
-                "replay({node:?}, [{first}, {last}])"
-            );
-        }
-        tk_assert_eq!(
-            mean_continuity(&s.flat, first, last, policy),
-            mean_continuity(&s.retained, first, last, policy),
-            "mean_continuity([{first}, {last}])"
-        );
-        // The trait object path (how generic extractors hold a log).
-        let logs: [&dyn ReceptionLog; 2] = [&s.flat, &s.retained];
-        tk_assert_eq!(
-            logs[0].received_at(0, NodeId(0)),
-            logs[1].received_at(0, NodeId(0)),
-            "dyn ReceptionLog dispatch"
-        );
         Ok(())
     });
 }

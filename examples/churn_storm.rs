@@ -57,15 +57,19 @@ fn main() {
         println!(
             "{:>8}  {:>10.1}  {:>10.1}",
             t,
-            dco_obs.received_percentage(SimTime::from_secs(t)),
-            tree_obs.received_percentage(SimTime::from_secs(t)),
+            dco_obs
+                .fold_figures(SimTime::from_secs(t), &[])
+                .received_pct,
+            tree_obs
+                .fold_figures(SimTime::from_secs(t), &[])
+                .received_pct,
         );
         t += 10;
     }
 
     let horizon = SimTime::from_secs(HORIZON_SECS);
-    let dco_pct = dco_obs.received_percentage(horizon);
-    let tree_pct = tree_obs.received_percentage(horizon);
+    let dco_pct = dco_obs.fold_figures(horizon, &[]).received_pct;
+    let tree_pct = tree_obs.fold_figures(horizon, &[]).received_pct;
     println!("\nfinal: DCO {dco_pct:.1}%  vs  tree {tree_pct:.1}%");
     assert!(
         dco_pct > tree_pct,

@@ -47,7 +47,7 @@ fn main() {
             t,
             p.chord().member_count(),
             p.coordinator_count(),
-            p.obs.received_percentage(SimTime::from_secs(t))
+            p.obs.fold_figures(SimTime::from_secs(t), &[]).received_pct
         );
     }
 
@@ -63,7 +63,10 @@ fn main() {
             .count()
     );
 
-    let final_pct = p.obs.received_percentage(SimTime::from_secs(140));
+    let final_pct = p
+        .obs
+        .fold_figures(SimTime::from_secs(140), &[])
+        .received_pct;
     assert!(p.coordinator_count() > 1, "the tier must have grown");
     assert!(final_pct > 97.0, "stream must complete: {final_pct:.1}%");
     println!("\nelastic tier carried the stream ✓");

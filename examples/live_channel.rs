@@ -44,15 +44,10 @@ fn main() {
         n_nodes - 1
     );
 
+    let m = p.obs.fold_figures(horizon, &[]);
     println!("ring members          : {:>6}", p.chord().member_count());
-    println!(
-        "chunks received       : {:>6.1} %",
-        p.obs.received_percentage(horizon)
-    );
-    println!(
-        "mean mesh delay       : {:>6.2} s",
-        p.obs.mean_mesh_delay(horizon)
-    );
+    println!("chunks received       : {:>6.1} %", m.received_pct);
+    println!("mean mesh delay       : {:>6.2} s", m.mean_mesh_delay);
     println!("fetch failures seen   : {:>6}", p.fetch_failures);
 
     // How evenly did the coordinators share the index load?
@@ -82,7 +77,7 @@ fn main() {
         first_held
     );
 
-    assert!(p.obs.received_percentage(horizon) > 95.0);
+    assert!(m.received_pct > 95.0);
     assert!(
         peer_serves > server_serves,
         "the swarm must carry most load"

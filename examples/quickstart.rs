@@ -29,32 +29,24 @@ fn main() {
     sim.run_until(horizon);
 
     let p = sim.protocol();
+    let m = p.obs.fold_figures(horizon, &[SimDuration::from_secs(2)]);
     println!(
         "== DCO quickstart: {} viewers, {} chunks ==",
         n_nodes - 1,
         n_chunks
     );
-    println!(
-        "mean mesh delay        : {:>8.2} s",
-        p.obs.mean_mesh_delay(horizon)
-    );
-    println!(
-        "fill ratio +2s         : {:>8.3}",
-        p.obs.mean_fill_ratio_at_offset(SimDuration::from_secs(2))
-    );
+    println!("mean mesh delay        : {:>8.2} s", m.mean_mesh_delay);
+    println!("fill ratio +2s         : {:>8.3}", m.fill_at_offsets[0]);
     println!(
         "extra overhead         : {:>8} control messages",
         sim.counters().control_total()
     );
-    println!(
-        "chunks received        : {:>8.1} %",
-        p.obs.received_percentage(horizon)
-    );
+    println!("chunks received        : {:>8.1} %", m.received_pct);
     println!();
     println!("overhead by message class:");
     for (tag, n) in sim.counters().tags() {
         println!("  {tag:<14} {n:>8}");
     }
-    assert!(p.obs.received_percentage(horizon) > 99.0);
+    assert!(m.received_pct > 99.0);
     println!("\nall chunks delivered ✓");
 }

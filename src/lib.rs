@@ -6,7 +6,7 @@
 //! * [`sim`] — deterministic discrete-event network simulator.
 //! * [`dht`] — Chord DHT (IDs, finger tables, routing, churn handling).
 //! * [`core`] — the DCO protocol itself (coordinators, chunk indices,
-//!   chunk-sharing algorithm, prefetch window, longevity model).
+//!   chunk-sharing algorithm, longevity model).
 //! * [`baselines`] — pull-mesh, push-mesh and tree comparators from the
 //!   paper's evaluation.
 //! * [`workload`] — scenario/churn generation.

@@ -33,7 +33,8 @@ fn dco_survives_control_message_loss() {
     let pct = sim
         .protocol()
         .obs
-        .received_percentage(SimTime::from_secs(150));
+        .fold_figures(SimTime::from_secs(150), &[])
+        .received_pct;
     assert!(
         pct > 97.0,
         "lossy control plane broke the stream: {pct:.1}%"
@@ -56,7 +57,8 @@ fn total_control_loss_stalls_without_panicking() {
     let pct = sim
         .protocol()
         .obs
-        .received_percentage(SimTime::from_secs(120));
+        .fold_figures(SimTime::from_secs(120), &[])
+        .received_pct;
     assert!(
         pct < 50.0,
         "with zero control delivery the stream cannot mostly spread: {pct:.1}%"
@@ -80,7 +82,8 @@ fn dco_survives_data_loss_too() {
     let pct = sim
         .protocol()
         .obs
-        .received_percentage(SimTime::from_secs(150));
+        .fold_figures(SimTime::from_secs(150), &[])
+        .received_pct;
     assert!(pct > 97.0, "lossy data plane broke the stream: {pct:.1}%");
 }
 

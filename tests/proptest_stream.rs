@@ -89,8 +89,8 @@ fn churn_schedules_are_well_formed() {
     });
 }
 
-/// Observer conservation: received ≤ expected; fill ratios are in
-/// [0, 1] and monotone in time, for arbitrary reception patterns.
+/// Observer conservation: received ≤ expected; the received share is in
+/// [0, 100] % and monotone in time, for arbitrary reception patterns.
 #[test]
 fn observer_invariants_hold() {
     check("observer_invariants_hold", 24, |g| {
@@ -118,10 +118,10 @@ fn observer_invariants_hold() {
         tk_assert!(obs.received_pairs() <= obs.expected_pairs());
         let mut last = -1.0f64;
         for t in (0..500).step_by(50) {
-            let f = obs.global_fill_ratio(SimTime::from_secs(t));
-            tk_assert!((0.0..=1.0).contains(&f));
-            tk_assert!(f >= last, "fill monotone in time");
-            last = f;
+            let pct = obs.fold_figures(SimTime::from_secs(t), &[]).received_pct;
+            tk_assert!((0.0..=100.0).contains(&pct));
+            tk_assert!(pct >= last, "fill monotone in time");
+            last = pct;
         }
         Ok(())
     });
