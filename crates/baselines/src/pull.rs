@@ -373,7 +373,7 @@ mod tests {
         let mut sim = build(16, 10, 6, 3);
         sim.run_until(SimTime::from_secs(120));
         let p = sim.protocol();
-        assert_eq!(p.obs.expected_pairs(), 150);
+        assert_eq!(p.obs.audience_pairs(), 150);
         assert_eq!(
             p.obs.received_pairs(),
             150,
@@ -391,7 +391,7 @@ mod tests {
         let mut sim = build(24, 10, 2, 5);
         sim.run_until(SimTime::from_secs(120));
         let p = sim.protocol();
-        assert_eq!(p.obs.received_pairs(), p.obs.expected_pairs());
+        assert_eq!(p.obs.received_pairs(), p.obs.audience_pairs());
         let d = p
             .obs
             .fold_figures(SimTime::from_secs(120), &[])

@@ -344,7 +344,7 @@ mod tests {
         let mut sim = build(16, 10, 6, 4);
         sim.run_until(SimTime::from_secs(120));
         let p = sim.protocol();
-        assert_eq!(p.obs.expected_pairs(), 150);
+        assert_eq!(p.obs.audience_pairs(), 150);
         assert_eq!(p.obs.received_pairs(), 150);
         assert!(sim.counters().tagged("push.bufmap") > 0);
     }
@@ -362,7 +362,7 @@ mod tests {
             .fold_figures(SimTime::from_secs(60), &[SimDuration::from_secs(5)])
             .fill_at_offsets[0];
         assert!(f > 0.45, "fill at +5 s only {f:.2}");
-        assert_eq!(p.obs.received_pairs(), p.obs.expected_pairs());
+        assert_eq!(p.obs.received_pairs(), p.obs.audience_pairs());
     }
 
     #[test]

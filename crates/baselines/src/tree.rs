@@ -260,7 +260,7 @@ mod tests {
         let mut sim = build(16, 10, 3, 1);
         sim.run_until(SimTime::from_secs(60));
         let p = sim.protocol();
-        assert_eq!(p.obs.expected_pairs(), 150);
+        assert_eq!(p.obs.audience_pairs(), 150);
         assert_eq!(p.obs.received_pairs(), 150);
         assert_eq!(
             sim.counters().control_total(),

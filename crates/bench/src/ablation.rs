@@ -1,6 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! Each study runs DCO with one knob flipped and reports the same §IV
+//! Each study runs DCO on the static §IV scenario at the scale's first
+//! seed under each [`Design`] it compares and reports the same §IV
 //! metrics, so the contribution of each mechanism is measurable:
 //!
 //! * **provider selection** — the paper's sufficient-bandwidth rule vs a
@@ -9,147 +10,74 @@
 //!   coordinators-plus-clients with elastic promotion;
 //! * **bandwidth model** — the paper's sender-side-only queueing vs the
 //!   full store-and-forward model (both directions charged).
+//!
+//! [`run_studies`] runs every study's cells as one batch, so the
+//! paper-design run all three compare against runs once.
 
-use dco_core::proto::{DcoConfig, DcoProtocol, TierMode};
-use dco_sim::engine::Simulator;
-use dco_sim::net::NetConfig;
-use dco_sim::time::{SimDuration, SimTime};
-use dco_workload::Scenario;
+use std::fmt::Write as _;
 
 use crate::figs::FigScale;
-use crate::runner::overhead_units;
-use crate::sweep::pool;
+use crate::runner::{run_cells, Cell, Design, Method, RunStats};
 
-/// One ablation variant: a label plus the config/network it runs with.
-struct Variant {
-    label: &'static str,
-    cfg: DcoConfig,
-    net: NetConfig,
+/// A study: its title and its rows' labels and designs.
+pub type Study = (&'static str, &'static [(&'static str, Design)]);
+
+/// The studies, in print order. There is no study B: it compared Eq. 2's
+/// prefetch window, which never binds and is not modelled (DESIGN.md §4).
+/// The other letters keep the names EXPERIMENTS.md and
+/// `results/ablations.txt` use.
+pub const STUDIES: [Study; 3] = [
+    (
+        "Ablation A: provider selection (sufficient-bandwidth vs random)",
+        &[
+            ("sufficient-bandwidth (paper)", Design::Paper),
+            ("random provider", Design::RandomProvider),
+            ("least-loaded (extension)", Design::LeastLoaded),
+        ],
+    ),
+    (
+        "Ablation C: tier mode (flat §IV ring vs hierarchical §III)",
+        &[
+            ("flat ring (§IV)", Design::Paper),
+            ("hierarchical (§III)", Design::Hierarchical),
+        ],
+    ),
+    (
+        "Ablation D: bandwidth model (sender-side vs full store-and-forward)",
+        &[
+            ("sender-side queueing (paper)", Design::Paper),
+            ("full store-and-forward", Design::StoreAndForward),
+        ],
+    ),
+];
+
+/// Runs every row of [`STUDIES`] as one batch and returns each study's
+/// runs, row by row.
+pub fn run_studies(scale: &FigScale) -> Vec<Vec<RunStats>> {
+    let params = scale.static_params(scale.default_neighbors, scale.seeds[0]);
+    let rows = STUDIES.iter().flat_map(|(_, rows)| rows.iter());
+    let cells: Vec<Cell> = rows
+        .map(|&(_, design)| Cell {
+            design,
+            ..Cell::new(Method::Dco, params.clone())
+        })
+        .collect();
+    let table = run_cells(&cells, scale.jobs);
+    let mut next = 0..;
+    STUDIES
+        .iter()
+        .map(|(_, rows)| {
+            rows.iter()
+                .zip(&mut next)
+                .map(|(_, i)| table.stats(i).clone())
+                .collect()
+        })
+        .collect()
 }
 
-/// Metrics of one ablation run.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Variant label.
-    pub label: String,
-    /// Mean mesh delay (s).
-    pub mesh_delay: f64,
-    /// % of expected deliveries completed by the horizon.
-    pub received_pct: f64,
-    /// Extra overhead (messages, ring maintenance excluded).
-    pub overhead: u64,
-    /// Fetch failures (timeouts / busy / not-found answers).
-    pub fetch_failures: u64,
-}
-
-/// Runs one variant on the static §IV scenario at the scale's first seed.
-fn run_variant(v: &Variant, scale: &FigScale) -> AblationRow {
-    let seed = scale.seeds[0];
-    let mut scenario = Scenario::paper_default(seed);
-    scenario.n_nodes = v.cfg.n_nodes;
-    scenario.n_chunks = v.cfg.n_chunks;
-    scenario.horizon = SimTime::from_secs(scale.static_horizon);
-    let mut sim = Simulator::with_capacity(
-        DcoProtocol::new(v.cfg.clone()),
-        v.net.clone(),
-        seed,
-        scenario.n_nodes as usize,
-    );
-    scenario.install(&mut sim);
-    sim.run_until(scenario.horizon);
-    let p = sim.protocol();
-    let m = p.obs.fold_figures(scenario.horizon, &[]);
-    AblationRow {
-        label: v.label.to_string(),
-        mesh_delay: m.mean_mesh_delay,
-        received_pct: m.received_pct,
-        overhead: overhead_units(sim.counters()),
-        fetch_failures: p.fetch_failures,
-    }
-}
-
-fn base_cfg(scale: &FigScale) -> DcoConfig {
-    let mut cfg = DcoConfig::paper_default(scale.n_nodes, scale.n_chunks);
-    cfg.neighbors = scale.default_neighbors;
-    cfg
-}
-
-/// Provider selection: sufficient-bandwidth round-robin vs random.
-pub fn ablate_selection(scale: &FigScale) -> Vec<AblationRow> {
-    let mut random = base_cfg(scale);
-    random.select_policy = dco_core::index::SelectPolicy::Random;
-    let mut least = base_cfg(scale);
-    least.select_policy = dco_core::index::SelectPolicy::LeastLoaded;
-    let variants = [
-        Variant {
-            label: "sufficient-bandwidth (paper)",
-            cfg: base_cfg(scale),
-            net: NetConfig::paper_model(),
-        },
-        Variant {
-            label: "random provider",
-            cfg: random,
-            net: NetConfig::paper_model(),
-        },
-        Variant {
-            label: "least-loaded (extension)",
-            cfg: least,
-            net: NetConfig::paper_model(),
-        },
-    ];
-    pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale)
-    })
-}
-
-/// Tier mode: the §IV flat ring vs §III's hierarchical infrastructure.
-pub fn ablate_tier(scale: &FigScale) -> Vec<AblationRow> {
-    let mut hier = base_cfg(scale);
-    hier.tier = TierMode::Hierarchical {
-        stable_threshold: 0.6,
-        overload_lookups: 200,
-        check_every: SimDuration::from_secs(5),
-    };
-    let variants = [
-        Variant {
-            label: "flat ring (§IV)",
-            cfg: base_cfg(scale),
-            net: NetConfig::paper_model(),
-        },
-        Variant {
-            label: "hierarchical (§III)",
-            cfg: hier,
-            net: NetConfig::paper_model(),
-        },
-    ];
-    pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale)
-    })
-}
-
-/// Bandwidth model: the paper's sender-side-only queueing vs the full
-/// store-and-forward model.
-pub fn ablate_bandwidth_model(scale: &FigScale) -> Vec<AblationRow> {
-    let variants = [
-        Variant {
-            label: "sender-side queueing (paper)",
-            cfg: base_cfg(scale),
-            net: NetConfig::paper_model(),
-        },
-        Variant {
-            label: "full store-and-forward",
-            cfg: base_cfg(scale),
-            net: NetConfig::default(),
-        },
-    ];
-    pool::par_map(scale.jobs.max(variants.len()), &variants, |v| {
-        run_variant(v, scale)
-    })
-}
-
-/// Renders ablation rows as an aligned text table.
-pub fn to_table(title: &str, rows: &[AblationRow]) -> String {
-    use std::fmt::Write as _;
+/// Renders `study`'s rows, whose runs are `runs`, as an aligned text table.
+pub fn to_table(study: &Study, runs: &[RunStats]) -> String {
+    let (title, rows) = study;
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     let _ = writeln!(
@@ -157,11 +85,12 @@ pub fn to_table(title: &str, rows: &[AblationRow]) -> String {
         "{:<32} {:>12} {:>12} {:>12} {:>12}",
         "variant", "delay (s)", "received %", "overhead", "failures"
     );
-    for r in rows {
+    for ((label, _), run) in rows.iter().zip(runs) {
+        let r = &run.result;
         let _ = writeln!(
             out,
             "{:<32} {:>12.2} {:>12.1} {:>12} {:>12}",
-            r.label, r.mesh_delay, r.received_pct, r.overhead, r.fetch_failures
+            label, r.mean_mesh_delay, r.received_pct, r.overhead, run.fetch_failures
         );
     }
     out
@@ -188,39 +117,32 @@ mod tests {
     }
 
     #[test]
-    fn selection_ablation_produces_complete_rows() {
-        let rows = ablate_selection(&tiny());
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.received_pct > 95.0, "{}: {:.1}%", r.label, r.received_pct);
+    fn every_study_delivers_and_full_store_and_forward_is_slower() {
+        let studies = run_studies(&tiny());
+        assert_eq!(studies.len(), STUDIES.len());
+        // Every provider rule delivers nearly everything; both tiers and
+        // both network models deliver at least 90%.
+        for (floor, (study, runs)) in [95.0, 90.0, 90.0]
+            .into_iter()
+            .zip(STUDIES.iter().zip(&studies))
+        {
+            assert_eq!(runs.len(), study.1.len());
+            for ((label, _), run) in study.1.iter().zip(runs) {
+                let pct = run.result.received_pct;
+                assert!(pct > floor, "{label}: {pct:.1}%");
+            }
         }
-    }
-
-    #[test]
-    fn tier_ablation_both_modes_deliver() {
-        let rows = ablate_tier(&tiny());
-        for r in &rows {
-            assert!(r.received_pct > 90.0, "{}: {:.1}%", r.label, r.received_pct);
-        }
-    }
-
-    #[test]
-    fn bandwidth_model_ablation_shows_slower_full_model() {
-        let rows = ablate_bandwidth_model(&tiny());
-        let paper = &rows[0];
-        let full = &rows[1];
+        // The paper-design row is one run, shared by all three studies.
+        assert_eq!(studies[0][0].proof, studies[1][0].proof);
+        assert_eq!(studies[0][0].proof, studies[2][0].proof);
+        let (paper, full) = (&studies[2][0].result, &studies[2][1].result);
         assert!(
-            full.mesh_delay >= paper.mesh_delay,
+            full.mean_mesh_delay >= paper.mean_mesh_delay,
             "download charging cannot make dissemination faster: {:.2} vs {:.2}",
-            full.mesh_delay,
-            paper.mesh_delay
+            full.mean_mesh_delay,
+            paper.mean_mesh_delay
         );
-    }
-
-    #[test]
-    fn table_renders() {
-        let rows = ablate_selection(&tiny());
-        let t = to_table("test", &rows);
+        let t = to_table(&STUDIES[0], &studies[0]);
         assert!(t.contains("variant"));
         assert!(t.contains("sufficient-bandwidth"));
     }

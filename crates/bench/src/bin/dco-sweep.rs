@@ -14,48 +14,30 @@
 //! per-cell `trace_digest` values in the JSON are bit-identical across
 //! `--jobs` levels — diff two reports to audit determinism.
 
+use std::str::FromStr;
+
 use dco_bench::runner::Method;
 use dco_bench::sweep::{run_sweep, SweepConfig};
 use dco_workload::{ChurnLevel, ScenarioGrid};
 
-fn parse_methods(s: &str) -> Result<Vec<Method>, String> {
-    s.split(',')
-        .map(|m| match m.trim() {
-            "dco" => Ok(Method::Dco),
-            "pull" => Ok(Method::Pull),
-            "push" => Ok(Method::Push),
-            "tree" => Ok(Method::Tree),
-            "tree*" | "treestar" => Ok(Method::TreeStar),
-            other => Err(format!("unknown method {other:?}")),
-        })
-        .collect()
+/// A comma-separated list, each item read by `item`.
+fn list<T>(s: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    s.split(',').map(|x| item(x.trim())).collect()
 }
 
-fn parse_churn(s: &str) -> Result<Vec<ChurnLevel>, String> {
-    s.split(',')
-        .map(|c| {
-            let c = c.trim();
-            if c == "static" {
-                Ok(ChurnLevel::Static)
-            } else if let Some(life) = c.strip_prefix("life") {
-                life.parse()
-                    .map(ChurnLevel::MeanLife)
-                    .map_err(|e| format!("bad churn level {c:?}: {e}"))
-            } else {
-                Err(format!("unknown churn level {c:?} (use static or life<S>)"))
-            }
-        })
-        .collect()
+fn number<T: FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
-fn parse_u32_list(s: &str) -> Result<Vec<u32>, String> {
-    s.split(',')
-        .map(|n| {
-            n.trim()
-                .parse()
-                .map_err(|e| format!("bad number {n:?}: {e}"))
-        })
-        .collect()
+fn churn_level(c: &str) -> Result<ChurnLevel, String> {
+    match c.strip_prefix("life") {
+        _ if c == "static" => Ok(ChurnLevel::Static),
+        Some(life) => number(life).map(ChurnLevel::MeanLife),
+        None => Err(format!("unknown churn level {c:?} (use static or life<S>)")),
+    }
 }
 
 struct Args {
@@ -69,40 +51,30 @@ fn parse() -> Result<Args, String> {
     let mut cfg = SweepConfig::small();
     let mut out_dir = "results".to_string();
     let mut tag = "small".to_string();
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let mut val = || -> Result<&str, String> {
-            i += 1;
-            argv.get(i)
-                .map(String::as_str)
-                .ok_or(format!("{key} needs a value"))
-        };
-        match key {
+    let mut it = argv.iter();
+    while let Some(key) = it.next() {
+        let val = it.next().map(String::as_str);
+        let val = || val.ok_or(format!("{key} needs a value"));
+        match key.as_str() {
             "--preset" => {
-                let name = val()?;
-                cfg = match name {
+                cfg = match val()? {
                     "tiny" => SweepConfig::tiny(),
                     "small" => SweepConfig::small(),
                     "paper" => SweepConfig::paper(),
                     other => return Err(format!("unknown preset {other:?}")),
                 };
-                tag = name.to_string();
+                tag = val()?.to_string();
             }
-            "--methods" => cfg.methods = parse_methods(val()?)?,
-            "--nodes" => cfg.grid.populations = parse_u32_list(val()?)?,
-            "--churn" => cfg.grid.churn = parse_churn(val()?)?,
-            "--seeds" => {
-                let n: usize = val()?.parse().map_err(|e| format!("{e}"))?;
-                cfg.grid.seeds = ScenarioGrid::seed_list(0xD15C0, n);
-            }
-            "--master-seed" => cfg.master_seed = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--jobs" => cfg.jobs = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--methods" => cfg.methods = list(val()?, Method::parse)?,
+            "--nodes" => cfg.grid.populations = list(val()?, number)?,
+            "--churn" => cfg.grid.churn = list(val()?, churn_level)?,
+            "--seeds" => cfg.grid.seeds = ScenarioGrid::seed_list(0xD15C0, number(val()?)?),
+            "--master-seed" => cfg.master_seed = number(val()?)?,
+            "--jobs" => cfg.scale.jobs = number(val()?)?,
             "--out" => out_dir = val()?.to_string(),
             "--tag" => tag = val()?.to_string(),
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     Ok(Args { cfg, out_dir, tag })
 }
@@ -120,31 +92,24 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cells = args.cfg.methods.len() * args.cfg.grid.len();
+    let cfg = &args.cfg;
+    let cells = cfg.methods.len() * cfg.grid.len();
     eprintln!(
-        "# sweep: {} methods x {} populations x {} churn levels x {} seeds = {} cells, jobs={}",
-        args.cfg.methods.len(),
-        args.cfg.grid.populations.len(),
-        args.cfg.grid.churn.len(),
-        args.cfg.grid.seeds.len(),
-        cells,
-        if args.cfg.jobs == 0 {
-            "auto".to_string()
-        } else {
-            args.cfg.jobs.to_string()
-        },
+        "# sweep: {} methods x {} populations x {} churn levels x {} seeds = {cells} cells, \
+         jobs={} (0 = one per core)",
+        cfg.methods.len(),
+        cfg.grid.populations.len(),
+        cfg.grid.churn.len(),
+        cfg.grid.seeds.len(),
+        cfg.scale.jobs,
     );
     let t0 = std::time::Instant::now();
-    let report = run_sweep(&args.cfg);
-    let wall = t0.elapsed();
+    let report = run_sweep(cfg);
+    let wall = t0.elapsed().as_secs_f64();
 
     print!("{}", report.to_table());
-    println!(
-        "# {} cells in {:.1}s ({:.2}s/cell wall)",
-        cells,
-        wall.as_secs_f64(),
-        wall.as_secs_f64() / cells.max(1) as f64
-    );
+    let per_cell = wall / cells.max(1) as f64;
+    println!("# {cells} cells in {wall:.1}s ({per_cell:.2}s/cell wall)");
 
     std::fs::create_dir_all(&args.out_dir).expect("create output directory");
     let path = format!("{}/sweep_{}.json", args.out_dir, args.tag);

@@ -13,9 +13,20 @@
 //! 16 neighbors, no churn, a 160 s horizon and seed 42. A bad flag exits 2
 //! with the usage line.
 
-use dco_bench::{run, Method, RunParams};
+use std::fmt::Display;
+use std::str::FromStr;
+
+use dco_bench::{run_with_stats, Method, RunParams};
 use dco_sim::time::{SimDuration, SimTime};
 use dco_workload::ChurnConfig;
+
+/// A flag's value read as a number.
+fn number<T: FromStr>(val: Result<&String, String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    val?.parse().map_err(|e| format!("{e}"))
+}
 
 struct Args {
     method: Method,
@@ -31,43 +42,20 @@ fn parse() -> Result<Args, String> {
     params.neighbors = 16;
     params.horizon = SimTime::from_secs(160);
     params.fill_offset = SimDuration::from_secs(10);
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let mut val = || -> Result<&str, String> {
-            i += 1;
-            argv.get(i)
-                .map(String::as_str)
-                .ok_or(format!("{key} needs a value"))
-        };
-        match key {
-            "--method" => {
-                method = match val()? {
-                    "dco" => Method::Dco,
-                    "pull" => Method::Pull,
-                    "push" => Method::Push,
-                    "tree" => Method::Tree,
-                    "tree*" | "treestar" => Method::TreeStar,
-                    other => return Err(format!("unknown method {other}")),
-                }
-            }
-            "--nodes" => params.n_nodes = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--chunks" => params.n_chunks = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--neighbors" => params.neighbors = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => params.seed = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--horizon" => {
-                params.horizon = SimTime::from_secs(val()?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--churn" => {
-                let life: u64 = val()?.parse().map_err(|e| format!("{e}"))?;
-                params.churn = Some(ChurnConfig::paper_fig12(life));
-            }
-            "--tree-degree" => {
-                params.tree_degree = Some(val()?.parse().map_err(|e| format!("{e}"))?)
-            }
+    let mut it = argv.iter();
+    while let Some(key) = it.next() {
+        let val = it.next().ok_or(format!("{key} needs a value"));
+        match key.as_str() {
+            "--method" => method = Method::parse(val?)?,
+            "--nodes" => params.n_nodes = number(val)?,
+            "--chunks" => params.n_chunks = number(val)?,
+            "--neighbors" => params.neighbors = number(val)?,
+            "--seed" => params.seed = number(val)?,
+            "--horizon" => params.horizon = SimTime::from_secs(number(val)?),
+            "--churn" => params.churn = Some(ChurnConfig::paper_fig12(number(val)?)),
+            "--tree-degree" => params.tree_degree = Some(number(val)?),
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     Ok(Args { method, params })
 }
@@ -82,7 +70,7 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let r = run(args.method, &args.params);
+    let r = run_with_stats(args.method, &args.params).result;
     let wall = t0.elapsed();
 
     println!(

@@ -1,21 +1,29 @@
-//! Generators for every figure in the paper's evaluation (§IV, Figs. 5–12).
+//! The paper's evaluation figures (§IV, Figs. 5–12) as views over one
+//! cell table.
 //!
-//! Each generator returns a [`Figure`] whose series carry the same labels
-//! and axes as the paper. Sweep points are independent simulations, so they
-//! run in parallel on the sweep harness's scoped-thread pool
-//! ([`crate::sweep::pool`]): each figure flattens its `(seed × method ×
-//! point)` product into one job list and maps it once — no nested pools,
-//! and full parallelism even with a single seed. Every point is averaged
-//! over the scale's seeds. [`FigScale::paper`] reproduces the published
-//! parameters; [`FigScale::small`] is a fast proportional variant for
-//! tests and benches.
+//! Each figure is a plan: the cells it reads, its `(seed × method ×
+//! point)` product in that order, and a view that folds one seed's
+//! results into the figure; every point is the mean over the scale's
+//! seeds. [`run_figures`] concatenates the plans of the requested
+//! figures and runs the list once through [`run_cells`], so a run that
+//! several figures read (Fig. 5's runs are also Figs. 6 and 8's) happens
+//! once; each view then reads its slice of the table, and
+//! [`FigureRun::cells_csv`] names every run behind the figures.
+//! [`FigScale::paper`] reproduces the published parameters;
+//! [`FigScale::small`] is a fast proportional variant for tests and CI.
+
+use std::fmt::Write as _;
 
 use dco_metrics::{average_figures, Figure, Series};
-use dco_sim::time::SimTime;
+use dco_sim::time::{SimDuration, SimTime};
 use dco_workload::{ChurnConfig, ScenarioGrid};
 
-use crate::runner::{run, Method, RunParams, RunResult};
-use crate::sweep::pool;
+use crate::runner::{run_cells, Cell, CellTable, Method, RunParams, RunResult};
+
+/// The figures, in the paper's order.
+pub const NAMES: [&str; 8] = [
+    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+];
 
 /// Experiment sizing.
 #[derive(Clone, Debug)]
@@ -42,7 +50,7 @@ pub struct FigScale {
     pub fill_offset_secs: u64,
     /// Seeds averaged per point.
     pub seeds: Vec<u64>,
-    /// Worker threads for the sweep pool (0 = all cores).
+    /// Worker threads for the runner (0 = all cores).
     pub jobs: usize,
 }
 
@@ -81,7 +89,9 @@ impl FigScale {
         }
     }
 
-    fn static_params(&self, neighbors: usize, seed: u64) -> RunParams {
+    /// The static §IV run at `neighbors` (Figs. 5, 6, 8, 9 and the
+    /// ablations).
+    pub(crate) fn static_params(&self, neighbors: usize, seed: u64) -> RunParams {
         RunParams {
             n_nodes: self.n_nodes,
             n_chunks: self.n_chunks,
@@ -89,7 +99,7 @@ impl FigScale {
             churn: None,
             horizon: SimTime::from_secs(self.static_horizon),
             tree_degree: None,
-            fill_offset: dco_sim::time::SimDuration::from_secs(self.fill_offset_secs),
+            fill_offset: SimDuration::from_secs(self.fill_offset_secs),
             seed,
         }
     }
@@ -97,22 +107,16 @@ impl FigScale {
     /// Non-sweep params: the tree runs at out-degree 2, the sustainable
     /// equivalent of the paper's default of 3 children (see
     /// `RunParams::tree_degree`).
-    fn default_params(&self, seed: u64) -> RunParams {
+    pub(crate) fn default_params(&self, seed: u64) -> RunParams {
         RunParams {
             tree_degree: Some(2),
             ..self.static_params(self.default_neighbors, seed)
         }
     }
 
-    fn pool_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            pool::default_jobs()
-        } else {
-            self.jobs
-        }
-    }
-
-    fn churn_params(&self, mean_life: u64, seed: u64) -> RunParams {
+    /// A churn run at `mean_life` seconds (Figs. 11–12), the tree at
+    /// out-degree 2.
+    pub(crate) fn churn_params(&self, mean_life: u64, seed: u64) -> RunParams {
         RunParams {
             n_nodes: self.n_nodes,
             n_chunks: self.churn_chunks,
@@ -120,292 +124,287 @@ impl FigScale {
             churn: Some(ChurnConfig::paper_fig12(mean_life)),
             horizon: SimTime::from_secs(self.churn_horizon),
             tree_degree: Some(2),
-            fill_offset: dco_sim::time::SimDuration::from_secs(self.fill_offset_secs),
+            fill_offset: SimDuration::from_secs(self.fill_offset_secs),
             seed,
         }
     }
 }
 
-/// Sweeps `points` × methods × seeds in parallel and folds each method's
-/// seed-averaged metric into a series. The full product is flattened into
-/// one job list and mapped once on the pool.
-#[allow(clippy::too_many_arguments)]
-fn sweep_figure<X, F>(
-    title: &str,
-    x_label: &str,
-    y_label: &str,
-    methods: &[Method],
-    points: &[X],
-    scale: &FigScale,
-    make_params: impl Fn(&FigScale, &X, Method, u64) -> RunParams + Sync,
-    metric: F,
-) -> Figure
-where
-    X: Sync + Clone + Into<f64> + Copy,
-    F: Fn(&RunResult) -> f64 + Sync,
-{
-    // Jobs in (seed, method, point) lexicographic order.
-    let mut jobs: Vec<(u64, Method, X)> = Vec::new();
-    for &seed in &scale.seeds {
-        for &m in methods {
-            for &x in points {
-                jobs.push((seed, m, x));
+/// The runs behind one figure and the view that folds them into it.
+struct Plan {
+    /// `(seed × method × x)` cells, in that order. A timeline figure reads
+    /// every x off one run, so its cells repeat and dedupe to one per
+    /// method and seed.
+    cells: Vec<Cell>,
+    /// Title and axes.
+    template: Figure,
+    methods: Vec<Method>,
+    xs: Vec<f64>,
+    /// A point's y value from its run and its x.
+    y: fn(&RunResult, f64) -> f64,
+}
+
+impl Plan {
+    /// `template`'s curves, one per method, over `xs`: `params` gives the
+    /// run of each x at a seed, `y` reads the point off it.
+    fn new(
+        scale: &FigScale,
+        template: Figure,
+        methods: &[Method],
+        xs: &[u64],
+        params: impl Fn(u64, u64) -> RunParams,
+        y: fn(&RunResult, f64) -> f64,
+    ) -> Plan {
+        let mut cells = Vec::new();
+        for &seed in &scale.seeds {
+            for &m in methods {
+                cells.extend(xs.iter().map(|&x| Cell::new(m, params(x, seed))));
             }
         }
+        let xs = xs.iter().map(|&x| x as f64).collect();
+        let methods = methods.to_vec();
+        Plan {
+            cells,
+            template,
+            methods,
+            xs,
+            y,
+        }
     }
-    let values = pool::par_map(scale.pool_jobs(), &jobs, |&(seed, m, x)| {
-        metric(&run(m, &make_params(scale, &x, m, seed)))
-    });
-    let per_seed: Vec<Figure> = scale
-        .seeds
-        .iter()
-        .enumerate()
-        .map(|(si, _)| {
-            let mut fig = Figure::new(title, x_label, y_label);
-            for (mi, &m) in methods.iter().enumerate() {
-                let mut s = Series::new(m.label());
-                for (pi, x) in points.iter().enumerate() {
-                    let idx = (si * methods.len() + mi) * points.len() + pi;
-                    s.push((*x).into(), values[idx]);
+
+    /// The figure of `results`, this plan's runs in `cells` order: each
+    /// seed's figure, averaged point by point.
+    fn view(&self, results: &[&RunResult]) -> Figure {
+        let per_seed: Vec<Figure> = results
+            .chunks(self.methods.len() * self.xs.len())
+            .map(|seed| {
+                let mut fig = self.template.clone();
+                for (m, runs) in self.methods.iter().zip(seed.chunks(self.xs.len())) {
+                    let mut s = Series::new(m.label());
+                    for (&x, run) in self.xs.iter().zip(runs) {
+                        s.push(x, (self.y)(run, x));
+                    }
+                    fig.push_series(s);
                 }
-                fig.push_series(s);
-            }
-            fig
-        })
-        .collect();
-    average_figures(&per_seed)
-}
-
-/// Runs one full simulation per `(seed, method)` pair in parallel and
-/// hands each seed's results to `build` to shape the figure.
-fn per_run_figure(
-    scale: &FigScale,
-    methods: &[Method],
-    make_params: impl Fn(&FigScale, Method, u64) -> RunParams + Sync,
-    build: impl Fn(&[RunResult]) -> Figure,
-) -> Figure {
-    let mut jobs: Vec<(u64, Method)> = Vec::new();
-    for &seed in &scale.seeds {
-        for &m in methods {
-            jobs.push((seed, m));
-        }
+                fig
+            })
+            .collect();
+        average_figures(&per_seed)
     }
-    let results = pool::par_map(scale.pool_jobs(), &jobs, |&(seed, m)| {
-        run(m, &make_params(scale, m, seed))
-    });
-    let per_seed: Vec<Figure> = scale
-        .seeds
+}
+
+/// `timeline`'s value at second `t`, or `missing` past its end.
+fn at(timeline: &[(f64, f64)], t: f64, missing: f64) -> f64 {
+    timeline
         .iter()
-        .enumerate()
-        .map(|(si, _)| build(&results[si * methods.len()..(si + 1) * methods.len()]))
-        .collect();
-    average_figures(&per_seed)
+        .find(|(x, _)| *x == t)
+        .map_or(missing, |&(_, y)| y)
 }
 
-/// Fig. 5 — mean mesh delay vs neighbors per node; curves DCO, push, pull,
-/// tree (`d = nb/8`) and tree* (`d = nb`).
-pub fn fig5(scale: &FigScale) -> Figure {
-    let points: Vec<u32> = scale.neighbor_sweep.iter().map(|&k| k as u32).collect();
-    let methods = [
-        Method::Dco,
-        Method::Push,
-        Method::Pull,
-        Method::Tree,
-        Method::TreeStar,
-    ];
-    sweep_figure(
-        "Fig. 5: mesh delay vs number of neighbors per node",
-        "neighbors",
-        "mean mesh delay (s)",
-        &methods,
-        &points,
-        scale,
-        |s, &nb, _m, seed| s.static_params(nb as usize, seed),
-        |r| r.mean_mesh_delay,
-    )
-}
-
-/// Fig. 6 — fill ratio 2 s after generation vs neighbors per node.
-pub fn fig6(scale: &FigScale) -> Figure {
-    let points: Vec<u32> = scale.neighbor_sweep.iter().map(|&k| k as u32).collect();
-    let methods = [Method::Dco, Method::Push, Method::Pull, Method::Tree];
-    let title = format!(
-        "Fig. 6: fill ratio +{}s after chunk generation vs neighbors (paper: +2s; time-rebased)",
-        scale.fill_offset_secs
-    );
-    let y = format!("fill ratio at +{}s", scale.fill_offset_secs);
-    sweep_figure(
-        &title,
-        "neighbors",
-        &y,
-        &methods,
-        &points,
-        scale,
-        |s, &nb, _m, seed| s.static_params(nb as usize, seed),
-        |r| r.fill_at_offset,
-    )
-}
-
-/// Fig. 7 — global fill ratio vs elapsed time, measured every second from
-/// the instant the last chunk was generated.
-pub fn fig7(scale: &FigScale) -> Figure {
-    let start = scale.n_chunks as u64; // generation ends here (1 chunk/s)
-    let window = 10u64.min(scale.static_horizon.saturating_sub(start));
-    let methods = [Method::Dco, Method::Push, Method::Pull, Method::Tree];
-    per_run_figure(
-        scale,
-        &methods,
-        |s, _m, seed| s.default_params(seed),
-        |results| {
-            let mut fig = Figure::new(
+/// The plan of figure `name`, one of [`NAMES`].
+fn plan(name: &str, scale: &FigScale) -> Option<Plan> {
+    let s = scale;
+    let neighbors: Vec<u64> = s.neighbor_sweep.iter().map(|&k| k as u64).collect();
+    let by_neighbors = |nb: u64, seed| s.static_params(nb as usize, seed);
+    let default = |_, seed| s.default_params(seed);
+    // Figs. 11–12: mean life horizon / 5 (the paper: 60 s of 300 s).
+    let base_life = s.churn_horizon / 5;
+    let main = &Method::MAIN;
+    // Fig. 5 adds tree* (out-degree = neighbors) to the main four.
+    let fig5 = [main.as_slice(), &[Method::TreeStar]].concat();
+    Some(match name {
+        "fig5" => Plan::new(
+            s,
+            Figure::new(
+                "Fig. 5: mesh delay vs number of neighbors per node",
+                "neighbors",
+                "mean mesh delay (s)",
+            ),
+            &fig5,
+            &neighbors,
+            by_neighbors,
+            |r, _| r.mean_mesh_delay,
+        ),
+        "fig6" => Plan::new(
+            s,
+            Figure::new(
+                format!(
+                    "Fig. 6: fill ratio +{}s after chunk generation vs neighbors \
+                     (paper: +2s; time-rebased)",
+                    s.fill_offset_secs
+                ),
+                "neighbors",
+                format!("fill ratio at +{}s", s.fill_offset_secs),
+            ),
+            main,
+            &neighbors,
+            by_neighbors,
+            |r, _| r.fill_at_offset,
+        ),
+        // Each second from the last chunk's generation (1 chunk/s).
+        "fig7" => {
+            let start = u64::from(s.n_chunks);
+            let ts: Vec<u64> =
+                (start..=start + 10.min(s.static_horizon.saturating_sub(start))).collect();
+            let fig = Figure::new(
                 "Fig. 7: fill ratio vs elapsed time",
                 "time (s)",
                 "global fill ratio",
             );
-            for (mi, &m) in methods.iter().enumerate() {
-                let mut s = Series::new(m.label());
-                for t in start..=start + window {
-                    let y = results[mi]
-                        .fill_timeline
-                        .iter()
-                        .find(|(x, _)| *x == t as f64)
-                        .map(|&(_, y)| y)
-                        .unwrap_or(1.0);
-                    s.push(t as f64, y);
-                }
-                fig.push_series(s);
-            }
-            fig
-        },
-    )
-}
-
-/// Fig. 8 — total extra overhead vs neighbors per node.
-pub fn fig8(scale: &FigScale) -> Figure {
-    let points: Vec<u32> = scale.neighbor_sweep.iter().map(|&k| k as u32).collect();
-    sweep_figure(
-        "Fig. 8: extra overhead vs number of neighbors per node",
-        "neighbors",
-        "extra overhead (messages)",
-        &Method::MAIN,
-        &points,
-        scale,
-        |s, &nb, _m, seed| s.static_params(nb as usize, seed),
-        |r| r.overhead as f64,
-    )
-}
-
-/// Fig. 9 — total extra overhead vs number of participants.
-pub fn fig9(scale: &FigScale) -> Figure {
-    let points: Vec<u32> = scale.population_sweep.clone();
-    sweep_figure(
-        "Fig. 9: extra overhead vs number of participants",
-        "nodes",
-        "extra overhead (messages)",
-        &Method::MAIN,
-        &points,
-        scale,
-        |s, &n, _m, seed| {
-            let mut p = s.static_params(s.default_neighbors, seed);
-            p.n_nodes = n;
-            p
-        },
-        |r| r.overhead as f64,
-    )
-}
-
-/// Fig. 10 — cumulative extra overhead vs elapsed time.
-pub fn fig10(scale: &FigScale) -> Figure {
-    let methods = Method::MAIN;
-    let step = (scale.static_horizon / 10).max(1);
-    per_run_figure(
-        scale,
-        &methods,
-        |s, _m, seed| s.default_params(seed),
-        |results| {
-            let mut fig = Figure::new(
+            Plan::new(s, fig, main, &ts, default, |r, t| {
+                at(&r.fill_timeline, t, 1.0)
+            })
+        }
+        "fig8" => Plan::new(
+            s,
+            Figure::new(
+                "Fig. 8: extra overhead vs number of neighbors per node",
+                "neighbors",
+                "extra overhead (messages)",
+            ),
+            main,
+            &neighbors,
+            by_neighbors,
+            |r, _| r.overhead as f64,
+        ),
+        "fig9" => {
+            let nodes: Vec<u64> = s.population_sweep.iter().map(|&n| n.into()).collect();
+            let fig = Figure::new(
+                "Fig. 9: extra overhead vs number of participants",
+                "nodes",
+                "extra overhead (messages)",
+            );
+            let params = |n: u64, seed| RunParams {
+                n_nodes: n as u32,
+                ..s.static_params(s.default_neighbors, seed)
+            };
+            Plan::new(s, fig, main, &nodes, params, |r, _| r.overhead as f64)
+        }
+        "fig10" => {
+            let step = (s.static_horizon / 10).max(1) as usize;
+            let ts: Vec<u64> = (0..=s.static_horizon).step_by(step).collect();
+            let fig = Figure::new(
                 "Fig. 10: extra overhead vs elapsed time",
                 "time (s)",
                 "cumulative extra overhead (messages)",
             );
-            for (mi, &m) in methods.iter().enumerate() {
-                let mut s = Series::new(m.label());
-                for t in (0..=scale.static_horizon).step_by(step as usize) {
-                    let y = results[mi]
-                        .overhead_timeline
-                        .iter()
-                        .find(|(x, _)| *x == t as f64)
-                        .map(|&(_, y)| y)
-                        .unwrap_or(0.0);
-                    s.push(t as f64, y);
-                }
-                fig.push_series(s);
-            }
-            fig
-        },
-    )
-}
-
-/// Fig. 11 — % received chunks vs dissemination-time budget under churn
-/// (mean life = 60 s scaled).
-pub fn fig11(scale: &FigScale) -> Figure {
-    let methods = Method::MAIN;
-    // Budget sweep: the last third of the horizon, 10 steps (the paper
-    // sweeps 200–300 s of a 300 s run).
-    let start = scale.churn_horizon * 2 / 3;
-    let step = ((scale.churn_horizon - start) / 10).max(1);
-    let mean_life = scale.churn_horizon / 5; // paper: 60 s of 300 s
-    per_run_figure(
-        scale,
-        &methods,
-        |s, _m, seed| s.churn_params(mean_life, seed),
-        |results| {
-            let mut fig = Figure::new(
+            Plan::new(s, fig, main, &ts, default, |r, t| {
+                at(&r.overhead_timeline, t, 0.0)
+            })
+        }
+        // Deadlines over the last third of the horizon in 10 steps (the
+        // paper: 200–300 s).
+        "fig11" => {
+            let start = s.churn_horizon * 2 / 3;
+            let step = ((s.churn_horizon - start) / 10).max(1) as usize;
+            let ts: Vec<u64> = (start..=s.churn_horizon).step_by(step).collect();
+            let fig = Figure::new(
                 "Fig. 11: % received chunks vs dissemination time (churn)",
                 "deadline (s)",
                 "% received chunks",
             );
-            for (mi, &m) in methods.iter().enumerate() {
-                let mut s = Series::new(m.label());
-                let mut t = start;
-                while t <= scale.churn_horizon {
-                    let y = results[mi]
-                        .received_timeline
-                        .iter()
-                        .find(|(x, _)| *x == t as f64)
-                        .map(|&(_, y)| y)
-                        .unwrap_or(f64::NAN);
-                    s.push(t as f64, y);
-                    t += step;
-                }
-                fig.push_series(s);
-            }
-            fig
-        },
-    )
+            let params = |_, seed| s.churn_params(base_life, seed);
+            Plan::new(s, fig, main, &ts, params, |r, t| {
+                at(&r.received_timeline, t, f64::NAN)
+            })
+        }
+        // The paper sweeps 60–120 s of mean life.
+        "fig12" => {
+            let lives: Vec<u64> = (0..=6).map(|i| base_life + i * base_life / 6).collect();
+            let fig = Figure::new(
+                "Fig. 12: % received chunks vs mean node life (churn)",
+                "mean life (s)",
+                "% received chunks",
+            );
+            let params = |life, seed| s.churn_params(life, seed);
+            Plan::new(s, fig, main, &lives, params, |r, _| r.received_pct)
+        }
+        _ => return None,
+    })
 }
 
-/// Fig. 12 — % received chunks vs mean node life.
-pub fn fig12(scale: &FigScale) -> Figure {
-    // The paper sweeps 60–120 s mean life on a 300 s run; scale
-    // proportionally.
-    let base = scale.churn_horizon / 5;
-    let points: Vec<u32> = (0..=6).map(|i| (base + i * base / 6) as u32).collect();
-    sweep_figure(
-        "Fig. 12: % received chunks vs mean node life (churn)",
-        "mean life (s)",
-        "% received chunks",
-        &Method::MAIN,
-        &points,
-        scale,
-        |s, &life, _m, seed| s.churn_params(life as u64, seed),
-        |r| r.received_pct,
-    )
+/// The requested figures and the one table of runs behind them.
+pub struct FigureRun {
+    /// The figures, in request order.
+    pub figures: Vec<Figure>,
+    /// Every distinct run behind them.
+    pub table: CellTable,
+    /// For each run of `table`, the figures that read it.
+    readers: Vec<Vec<&'static str>>,
+}
+
+/// Runs the named figures (each one of [`NAMES`]) over one deduplicated
+/// cell table. Panics on an unknown name.
+pub fn run_figures(names: &[&'static str], scale: &FigScale) -> FigureRun {
+    let plans: Vec<Plan> = names
+        .iter()
+        .map(|&n| plan(n, scale).unwrap_or_else(|| panic!("unknown figure {n}")))
+        .collect();
+    let cells: Vec<Cell> = plans.iter().flat_map(|p| p.cells.clone()).collect();
+    let table = run_cells(&cells, scale.jobs);
+    let mut readers = vec![Vec::new(); table.runs.len()];
+    let mut start = 0;
+    let figures = names
+        .iter()
+        .zip(&plans)
+        .map(|(&name, plan)| {
+            let requests = start..start + plan.cells.len();
+            start = requests.end;
+            for i in requests.clone() {
+                let r: &mut Vec<_> = &mut readers[table.index[i]];
+                if r.last() != Some(&name) {
+                    r.push(name);
+                }
+            }
+            let results: Vec<&RunResult> = requests.map(|i| &table.stats(i).result).collect();
+            plan.view(&results)
+        })
+        .collect();
+    FigureRun {
+        figures,
+        table,
+        readers,
+    }
+}
+
+impl FigureRun {
+    /// One CSV row per distinct run: its method, parameters, trace digest
+    /// and event count, and the figures that read it (schema in
+    /// EXPERIMENTS.md). An empty `tree_degree` is the paper's rule; an
+    /// empty `mean_life_s` is a static run.
+    pub fn cells_csv(&self) -> String {
+        let mut out = String::from(
+            "method,n_nodes,n_chunks,neighbors,tree_degree,mean_life_s,horizon_s,\
+             fill_offset_s,seed,trace_digest,events,figures\n",
+        );
+        for ((cell, stats), readers) in self.table.runs.iter().zip(&self.readers) {
+            let p = &cell.params;
+            let or_empty = |v: Option<u64>| v.map_or(String::new(), |v| v.to_string());
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{},{},{},{},{},{:#018x},{},{}",
+                cell.method.label(),
+                p.n_nodes,
+                p.n_chunks,
+                p.neighbors,
+                or_empty(p.tree_degree.map(|d| d as u64)),
+                or_empty(p.churn.as_ref().map(|c| c.mean_life.as_secs())),
+                p.horizon.as_secs(),
+                p.fill_offset.as_secs(),
+                p.seed,
+                stats.proof.trace_digest,
+                stats.proof.events,
+                readers.join(" ")
+            );
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::dedupe;
 
     fn tiny() -> FigScale {
         FigScale {
@@ -423,9 +422,13 @@ mod tests {
         }
     }
 
+    fn figure(name: &'static str) -> Figure {
+        run_figures(&[name], &tiny()).figures.remove(0)
+    }
+
     #[test]
     fn fig5_has_five_curves_over_the_sweep() {
-        let f = fig5(&tiny());
+        let f = figure("fig5");
         assert_eq!(f.series.len(), 5);
         assert_eq!(f.x_values(), vec![4.0, 8.0]);
         for s in &f.series {
@@ -435,7 +438,7 @@ mod tests {
 
     #[test]
     fn fig8_tree_is_zero_and_meshes_positive() {
-        let f = fig8(&tiny());
+        let f = figure("fig8");
         let tree = f.series_by_label("tree").unwrap();
         assert!(tree.points.iter().all(|&(_, y)| y == 0.0));
         for label in ["DCO", "push", "pull"] {
@@ -446,7 +449,7 @@ mod tests {
 
     #[test]
     fn fig10_is_cumulative() {
-        let f = fig10(&tiny());
+        let f = figure("fig10");
         for s in &f.series {
             for w in s.points.windows(2) {
                 assert!(w[1].1 >= w[0].1, "{} not cumulative", s.label);
@@ -456,10 +459,53 @@ mod tests {
 
     #[test]
     fn fig12_has_expected_x_axis() {
-        let f = fig12(&tiny());
+        let f = figure("fig12");
         assert_eq!(f.series.len(), 4);
         let xs = f.x_values();
         assert_eq!(xs.len(), 7);
         assert_eq!(xs[0], 9.0, "base life = churn_horizon / 5");
+    }
+
+    /// `figures all --scale paper` reads 880 (seed, method, point) runs:
+    /// Figs. 6 and 8 reread Fig. 5's, Fig. 10 Fig. 7's, Fig. 11 Fig. 12's
+    /// mean-life-60 column, Fig. 9's N=512 point Fig. 5's 32-neighbour
+    /// one, and Fig. 7's DCO, push and pull runs are Fig. 5's too, since
+    /// only tree cells keep the tree degree: 485 distinct. Of those, the
+    /// 195 static DCO, tree and tree* runs draw no random number, so one
+    /// seed stands for all five: 329 runs. (The timeline figures 7, 10 and
+    /// 11 request their one run per method and seed once per x, 11
+    /// times.) Nothing is run here.
+    #[test]
+    fn figures_all_at_paper_scale_is_329_runs() {
+        let scale = FigScale::paper();
+        let cells: Vec<Cell> = NAMES
+            .iter()
+            .flat_map(|n| plan(n, &scale).unwrap().cells)
+            .collect();
+        assert_eq!(cells.len(), 880 + 3 * 4 * 5 * (11 - 1));
+        let (distinct, _) = dedupe(&cells);
+        assert_eq!(distinct.len(), 329);
+    }
+
+    /// Fig. 8 reads only runs Fig. 5 also reads, and every run's row names
+    /// the figures that read it.
+    #[test]
+    fn shared_runs_run_once_and_the_cell_table_names_their_readers() {
+        let run = run_figures(&["fig5", "fig8"], &tiny());
+        // Fig. 5: 5 methods × 2 neighbour counts; Fig. 8 adds none.
+        assert_eq!(run.table.runs.len(), 10);
+        assert_eq!(run.table.index.len(), 10 + 8);
+        let csv = run.cells_csv();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 10);
+        for row in rows {
+            let readers = if row.starts_with("tree*,") {
+                ",fig5"
+            } else {
+                ",fig5 fig8"
+            };
+            assert!(row.ends_with(readers), "{row}");
+        }
+        assert!(csv.starts_with("method,n_nodes,"), "{csv}");
     }
 }

@@ -1,23 +1,20 @@
 //! # dco-bench — the experiment harness
 //!
 //! Regenerates every figure of the paper's evaluation (§IV, Figs. 5–12)
-//! plus the ablations DESIGN.md calls out:
+//! and the ablations DESIGN.md calls out through one pipeline: a binary
+//! lists [`Cell`]s, [`run_cells`] runs each distinct one once on the
+//! worker pool, and the report is a view over the resulting
+//! [`CellTable`] of results and determinism proofs.
 //!
-//! * [`runner`] — builds a scenario, runs one method, extracts all four
-//!   metrics from the same simulation.
-//! * [`figs`] — one generator per paper figure, parallel across sweep
-//!   points and seeds.
-//! * [`ablation`] — design-choice studies (provider selection, tier mode,
-//!   bandwidth model).
-//! * [`sweep`] — the parallel, deterministic batch-experiment harness:
-//!   grid expansion, a scoped-thread pool, per-cell determinism proofs,
-//!   multi-seed aggregation and JSON/table reports.
-//!
-//! The `figures` binary prints any subset as text tables and CSV; the
-//! `dco-sweep` binary runs batch grids:
+//! * [`runner`] — the cell, the table and the one run path.
+//! * [`figs`] — one plan (cells plus view) per paper figure; `figures`.
+//! * [`ablation`] — design-choice studies; `ablations`.
+//! * [`sweep`] — multi-seed grids and their JSON report; `dco-sweep`.
+//! * [`shard_run`] — one DCO run split over K shards; `dco-perf`.
+//! * [`timing`] — the micro benches' timer.
 //!
 //! ```text
-//! cargo run --release -p dco-bench --bin figures -- all --scale paper
+//! cargo run --release -p dco-bench --bin figures -- all --scale paper --out results
 //! cargo run --release -p dco-bench --bin dco-sweep -- --preset small --jobs 8
 //! ```
 
@@ -26,11 +23,15 @@
 
 pub mod ablation;
 pub mod figs;
+mod pool;
 pub mod runner;
 pub mod shard_run;
 pub mod sweep;
 pub mod timing;
 
 pub use figs::FigScale;
-pub use runner::{run, run_with_stats, CellProof, Method, RunParams, RunResult, RunStats};
+pub use runner::{
+    run_cells, run_with_stats, Cell, CellProof, CellTable, Design, Method, RunParams, RunResult,
+    RunStats,
+};
 pub use sweep::{run_sweep, SweepConfig, SweepReport};

@@ -29,7 +29,7 @@ use dco_dht::hash_node;
 use dco_metrics::observer::FigureMetrics;
 use dco_metrics::{ObserverShard, StreamObserver};
 use dco_shard::epoch::{run_orchestrator, run_worker, RelayReport};
-use dco_shard::link::{channel_pair, FrameLink};
+use dco_shard::link::FrameLink;
 use dco_shard::partition::contiguous_arcs;
 use dco_sim::counters::CounterSnapshot;
 use dco_sim::engine::Simulator;
@@ -128,7 +128,7 @@ fn build_shard_sim(params: &RunParams, k: u8, me: u8) -> (Simulator<DcoProtocol>
 /// Runs shard `me` of `k` to completion over `link`, replying with a
 /// wire-encoded [`WorkerSummary`] as the `RESULT` frame, its host-cost
 /// fields zero. This is the body of the hidden `--shard-worker` mode of
-/// `dco-perf` and of the thread-based workers of [`run_sharded_threads`].
+/// `dco-perf` and of the thread-based workers of this module's tests.
 pub fn run_shard_worker<L: FrameLink>(
     params: &RunParams,
     k: u8,
@@ -257,38 +257,6 @@ pub fn orchestrate<L: FrameLink>(params: &RunParams, links: &mut [L]) -> io::Res
     merge_relay(params, &report)
 }
 
-/// Runs the whole sharded pipeline with `k` worker *threads* over
-/// in-memory links — the test path: same engine, same epoch protocol,
-/// same merge, no processes.
-pub fn run_sharded_threads(params: &RunParams, k: u8) -> io::Result<MergedRun> {
-    let mut orch_links = Vec::with_capacity(usize::from(k));
-    let mut handles = Vec::with_capacity(usize::from(k));
-    for me in 0..k {
-        let (orch_side, worker_side) = channel_pair();
-        orch_links.push(orch_side);
-        let params = params.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut link = worker_side;
-            run_shard_worker(&params, k, me, &mut link)
-        }));
-    }
-    let merged = orchestrate(params, &mut orch_links);
-    // Dropping the orchestrator halves unblocks any worker still waiting
-    // on a dead relay, so the joins below can't hang.
-    drop(orch_links);
-    let mut worker_err = None;
-    for h in handles {
-        if let Err(e) = h.join().expect("worker thread panicked") {
-            worker_err.get_or_insert(e);
-        }
-    }
-    match (merged, worker_err) {
-        (Ok(m), None) => Ok(m),
-        (Err(e), _) => Err(e),
-        (_, Some(e)) => Err(e),
-    }
-}
-
 /// The `K = 1` canonical run: the sharded (key-ordered) engine in one
 /// process, no epoch protocol needed — its set digest is the value every
 /// `K > 1` run must fold back to.
@@ -356,15 +324,53 @@ pub fn check_matches(single: &SingleRun, merged: &MergedRun) -> Result<(), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dco_shard::link::channel_pair;
     use dco_sim::time::SimTime;
     use dco_workload::ChurnConfig;
 
-    fn small_params(churn: bool) -> RunParams {
-        let mut p = RunParams::small(42);
-        if churn {
-            p.churn = Some(ChurnConfig::paper_fig12(25));
+    /// Runs the whole sharded pipeline with `k` worker *threads* over
+    /// in-memory links — the test path: same engine, same epoch protocol,
+    /// same merge, no processes.
+    fn run_sharded_threads(params: &RunParams, k: u8) -> io::Result<MergedRun> {
+        let mut orch_links = Vec::with_capacity(usize::from(k));
+        let mut handles = Vec::with_capacity(usize::from(k));
+        for me in 0..k {
+            let (orch_side, worker_side) = channel_pair();
+            orch_links.push(orch_side);
+            let params = params.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut link = worker_side;
+                run_shard_worker(&params, k, me, &mut link)
+            }));
         }
-        p
+        let merged = orchestrate(params, &mut orch_links);
+        // Dropping the orchestrator halves unblocks any worker still waiting
+        // on a dead relay, so the joins below can't hang.
+        drop(orch_links);
+        let mut worker_err = None;
+        for h in handles {
+            if let Err(e) = h.join().expect("worker thread panicked") {
+                worker_err.get_or_insert(e);
+            }
+        }
+        match (merged, worker_err) {
+            (Ok(m), None) => Ok(m),
+            (Err(e), _) => Err(e),
+            (_, Some(e)) => Err(e),
+        }
+    }
+
+    fn small_params(churn: bool) -> RunParams {
+        RunParams {
+            n_nodes: 64,
+            n_chunks: 20,
+            neighbors: 16,
+            churn: churn.then(|| ChurnConfig::paper_fig12(25)),
+            horizon: SimTime::from_secs(80),
+            tree_degree: None,
+            fill_offset: SimDuration::from_secs(5),
+            seed: 42,
+        }
     }
 
     fn assert_matches_single(params: &RunParams, single: &SingleRun, k: u8) {

@@ -2,21 +2,17 @@
 //!
 //! The workspace carries no serde (offline reproducibility), and the sweep
 //! output is a fixed, shallow schema — so a tiny value tree with a
-//! deterministic renderer is all that is needed. Numbers render through
-//! Rust's shortest-round-trip float formatting; non-finite floats become
-//! `null` (JSON has no NaN); u64-range integers that would lose precision
-//! in an f64 (digests, counters) should be emitted as strings by the
-//! caller ([`Json::hex`] helps).
+//! deterministic pretty renderer is all that is needed. Numbers render
+//! through Rust's shortest-round-trip float formatting; non-finite floats
+//! become `null` (JSON has no NaN); u64-range integers that would lose
+//! precision in an f64 (digests, counters) should be emitted as strings by
+//! the caller ([`Json::hex`] helps).
 
 use std::fmt::Write as _;
 
 /// A JSON value tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
     /// A finite number (non-finite renders as `null`).
     Num(f64),
     /// An exact integer (u64 counters; rendered digit-exact).
@@ -46,104 +42,63 @@ impl Json {
         Json::Str(format!("{x:#018x}"))
     }
 
-    /// Renders compactly (no whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    /// Renders with two-space indentation.
+    /// Renders with two-space indentation and a final newline.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut String, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_num(out, *x),
+            // `{:?}` is Rust's shortest round-trip form; it may produce
+            // "1.0" or scientific notation like "1e-7" (both valid JSON).
+            Json::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x:?}");
+            }
+            Json::Num(_) => out.push_str("null"),
             Json::Int(x) => {
                 let _ = write!(out, "{x}");
             }
             Json::Str(s) => write_str(out, s),
-            Json::Arr(xs) => {
-                out.push('[');
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    x.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(kvs) => {
-                out.push('{');
-                for (i, (k, v)) in kvs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Arr(xs) if !xs.is_empty() => {
-                out.push_str("[\n");
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    x.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(kvs) if !kvs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in kvs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-            other => other.write(out),
+            Json::Arr(xs) => write_items(out, depth, "[]", xs.iter().map(|x| (None, x))),
+            Json::Obj(kvs) => write_items(
+                out,
+                depth,
+                "{}",
+                kvs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_num(out: &mut String, x: f64) {
-    if !x.is_finite() {
-        out.push_str("null");
+/// An array (`None` keys) or object between `brackets`, one item per
+/// line; an empty one stays on its line.
+fn write_items<'a>(
+    out: &mut String,
+    depth: usize,
+    brackets: &str,
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    if items.len() == 0 {
+        out.push_str(close);
         return;
     }
-    // `{:?}` is Rust's shortest round-trip form; it may produce "1.0"
-    // (valid JSON) or scientific notation like "1e-7" (also valid).
-    let _ = write!(out, "{x:?}");
+    for (i, (key, value)) in items.enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, depth + 1);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push_str(close);
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -168,59 +123,51 @@ fn write_str(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    /// `v` rendered, without the final newline.
+    fn render(v: Json) -> String {
+        v.render_pretty().trim_end_matches('\n').to_string()
+    }
+
     #[test]
     fn scalars_render() {
-        assert_eq!(Json::Null.render(), "null");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::Num(1.5).render(), "1.5");
-        assert_eq!(Json::Num(3.0).render(), "3.0");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
-        assert_eq!(Json::Int(u64::MAX).render(), "18446744073709551615");
-        assert_eq!(Json::str("hi").render(), "\"hi\"");
+        assert_eq!(render(Json::Num(1.5)), "1.5");
+        assert_eq!(render(Json::Num(3.0)), "3.0");
+        assert_eq!(render(Json::Num(f64::NAN)), "null");
+        assert_eq!(render(Json::Num(f64::INFINITY)), "null");
+        assert_eq!(render(Json::Int(u64::MAX)), "18446744073709551615");
+        assert_eq!(render(Json::str("hi")), "\"hi\"");
     }
 
     #[test]
     fn strings_are_escaped() {
         assert_eq!(
-            Json::str("a\"b\\c\nd\te").render(),
+            render(Json::str("a\"b\\c\nd\te")),
             "\"a\\\"b\\\\c\\nd\\te\""
         );
-        assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"");
+        assert_eq!(render(Json::str("\u{1}")), "\"\\u0001\"");
     }
 
     #[test]
-    fn nested_structure_renders_compact() {
+    fn nested_structure_renders_one_item_per_line() {
         let v = Json::obj(vec![
             ("name", Json::str("sweep")),
             ("xs", Json::Arr(vec![Json::Num(1.0), Json::Num(2.5)])),
-            ("meta", Json::obj(vec![("ok", Json::Bool(true))])),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"name":"sweep","xs":[1.0,2.5],"meta":{"ok":true}}"#
-        );
-    }
-
-    #[test]
-    fn pretty_rendering_is_stable() {
-        let v = Json::obj(vec![
-            ("a", Json::Int(1)),
-            ("b", Json::Arr(vec![Json::Int(2)])),
+            ("meta", Json::obj(vec![("n", Json::Int(1))])),
             ("empty", Json::Arr(Vec::new())),
         ]);
-        let p = v.render_pretty();
-        assert!(p.contains("\"a\": 1"));
-        assert!(p.contains("\"empty\": []"));
-        assert!(p.ends_with("}\n"));
+        assert_eq!(
+            v.render_pretty(),
+            "{\n  \"name\": \"sweep\",\n  \"xs\": [\n    1.0,\n    2.5\n  ],\n  \
+             \"meta\": {\n    \"n\": 1\n  },\n  \"empty\": []\n}\n"
+        );
     }
 
     #[test]
     fn hex_preserves_full_u64_range() {
         assert_eq!(
-            Json::hex(0xDEAD_BEEF_DEAD_BEEF).render(),
+            render(Json::hex(0xDEAD_BEEF_DEAD_BEEF)),
             "\"0xdeadbeefdeadbeef\""
         );
-        assert_eq!(Json::hex(0).render(), "\"0x0000000000000000\"");
+        assert_eq!(render(Json::hex(0)), "\"0x0000000000000000\"");
     }
 }

@@ -1,13 +1,12 @@
 //! The parallel, deterministic batch-experiment harness.
 //!
 //! A [`SweepConfig`] names a grid of `(method × population × churn ×
-//! seed)` cells. [`run_sweep`] expands it ([`expand`]), runs every cell
-//! concurrently on a scoped-thread pool ([`pool`]), and aggregates the
-//! per-seed metrics of each `(method, population, churn)` group into
-//! mean / stddev / median / 95%-CI rows ([`SweepReport`]), rendered as a
-//! human table ([`SweepReport::to_table`]) or JSON
-//! ([`SweepReport::to_json`], written to `results/sweep_<tag>.json` by the
-//! `dco-sweep` binary).
+//! seed)` cells. [`run_sweep`] expands it ([`expand`]), runs the cells
+//! through [`run_cells`], and aggregates the per-seed metrics of each
+//! `(method, population, churn)` group into mean / stddev / median /
+//! 95%-CI rows ([`SweepReport`]), rendered as a human table
+//! ([`SweepReport::to_table`]) or JSON ([`SweepReport::to_json`], written
+//! to `results/sweep_<tag>.json` by the `dco-sweep` binary).
 //!
 //! # Determinism contract
 //!
@@ -24,13 +23,12 @@
 //! [`CellProof`]: crate::runner::CellProof
 
 pub mod json;
-pub mod pool;
 
 use dco_metrics::stats::SummaryStats;
-use dco_sim::time::{SimDuration, SimTime};
-use dco_workload::{ChurnConfig, ChurnLevel, ScenarioGrid};
+use dco_workload::{ChurnLevel, GridCell, ScenarioGrid};
 
-use crate::runner::{run_with_stats, Method, RunParams, RunStats};
+use crate::figs::FigScale;
+use crate::runner::{run_cells, Cell, Method, RunParams, RunStats};
 use json::Json;
 
 /// The full specification of a batch sweep.
@@ -42,20 +40,11 @@ pub struct SweepConfig {
     pub grid: ScenarioGrid,
     /// Master seed all cell seeds derive from.
     pub master_seed: u64,
-    /// Chunks emitted in static cells.
-    pub n_chunks: u32,
-    /// Chunks emitted in churn cells (the paper uses a longer stream).
-    pub churn_chunks: u32,
-    /// Mesh degree / DCO successor-list length.
-    pub neighbors: usize,
-    /// Horizon of static cells, seconds.
-    pub static_horizon: u64,
-    /// Horizon of churn cells, seconds.
-    pub churn_horizon: u64,
-    /// Fill-ratio measurement offset, seconds.
-    pub fill_offset_secs: u64,
-    /// Worker threads (0 = all cores).
-    pub jobs: usize,
+    /// Chunks, horizons, neighbours, fill offset and worker threads, as
+    /// in the figures' static Figs. 7 and 10 and churn Figs. 11–12 runs.
+    /// The grid replaces the scale's population and seeds; the sweep reads
+    /// no figure axis.
+    pub scale: FigScale,
 }
 
 impl SweepConfig {
@@ -70,13 +59,7 @@ impl SweepConfig {
                 seeds: ScenarioGrid::seed_list(0xD15C0, 5),
             },
             master_seed: 42,
-            n_chunks: 20,
-            churn_chunks: 30,
-            neighbors: 16,
-            static_horizon: 60,
-            churn_horizon: 90,
-            fill_offset_secs: 5,
-            jobs: 0,
+            scale: FigScale::small(),
         }
     }
 
@@ -84,20 +67,20 @@ impl SweepConfig {
     /// population × static × 2 seeds at toy scale.
     pub fn tiny() -> Self {
         SweepConfig {
-            methods: vec![Method::Dco, Method::Pull],
             grid: ScenarioGrid {
                 populations: vec![16],
                 churn: vec![ChurnLevel::Static],
                 seeds: ScenarioGrid::seed_list(0xD15C0, 2),
             },
-            master_seed: 42,
-            n_chunks: 6,
-            churn_chunks: 8,
-            neighbors: 6,
-            static_horizon: 30,
-            churn_horizon: 40,
-            fill_offset_secs: 5,
-            jobs: 0,
+            scale: FigScale {
+                n_chunks: 6,
+                churn_chunks: 8,
+                default_neighbors: 6,
+                static_horizon: 30,
+                churn_horizon: 40,
+                ..FigScale::small()
+            },
+            ..SweepConfig::small()
         }
     }
 
@@ -112,51 +95,18 @@ impl SweepConfig {
                 seeds: ScenarioGrid::seed_list(0xD15C0, 5),
             },
             master_seed: 42,
-            n_chunks: 100,
-            churn_chunks: 200,
-            neighbors: 32,
-            static_horizon: 200,
-            churn_horizon: 300,
-            fill_offset_secs: 15,
-            jobs: 0,
+            scale: FigScale::paper(),
         }
     }
 
-    /// A stable code per method, folded into each cell's seed so the same
-    /// scenario coordinates under different methods get decorrelated
-    /// streams.
-    fn method_code(m: Method) -> u64 {
-        match m {
-            Method::Dco => 1,
-            Method::Pull => 2,
-            Method::Push => 3,
-            Method::Tree => 4,
-            Method::TreeStar => 5,
-        }
-    }
-
-    /// The [`RunParams`] of one cell.
-    pub fn params_for(&self, n_nodes: u32, churn: ChurnLevel, sim_seed: u64) -> RunParams {
-        let (n_chunks, horizon, churn_cfg) = match churn {
-            ChurnLevel::Static => (self.n_chunks, SimTime::from_secs(self.static_horizon), None),
-            ChurnLevel::MeanLife(life) => (
-                self.churn_chunks,
-                SimTime::from_secs(self.churn_horizon),
-                Some(ChurnConfig::paper_fig12(life)),
-            ),
+    /// The run of one expanded cell.
+    pub fn cell(&self, c: &SweepCell) -> Cell {
+        let params = match c.churn {
+            ChurnLevel::Static => self.scale.default_params(c.sim_seed),
+            ChurnLevel::MeanLife(life) => self.scale.churn_params(life, c.sim_seed),
         };
-        RunParams {
-            n_nodes,
-            n_chunks,
-            neighbors: self.neighbors,
-            churn: churn_cfg,
-            horizon,
-            // Under churn the tree runs at its sustainable out-degree, as
-            // in the figure harness (see RunParams::tree_degree).
-            tree_degree: Some(2),
-            fill_offset: SimDuration::from_secs(self.fill_offset_secs),
-            seed: sim_seed,
-        }
+        let n_nodes = c.n_nodes;
+        Cell::new(c.method, RunParams { n_nodes, ..params })
     }
 }
 
@@ -188,38 +138,19 @@ pub struct CellOutcome {
 /// outermost, then the grid's population → churn → seed order) and
 /// position-independent cell seeds.
 pub fn expand(cfg: &SweepConfig) -> Vec<SweepCell> {
-    let mut cells = Vec::with_capacity(cfg.methods.len() * cfg.grid.len());
-    for &method in &cfg.methods {
-        for &n_nodes in &cfg.grid.populations {
-            for &churn in &cfg.grid.churn {
-                for &seed in &cfg.grid.seeds {
-                    cells.push(SweepCell {
-                        method,
-                        n_nodes,
-                        churn,
-                        seed,
-                        sim_seed: ScenarioGrid::cell_seed(
-                            cfg.master_seed,
-                            SweepConfig::method_code(method),
-                            n_nodes,
-                            churn,
-                            seed,
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Runs one already-expanded cell.
-pub fn run_cell(cfg: &SweepConfig, cell: &SweepCell) -> CellOutcome {
-    let params = cfg.params_for(cell.n_nodes, cell.churn, cell.sim_seed);
-    CellOutcome {
-        cell: *cell,
-        stats: run_with_stats(cell.method, &params),
-    }
+    let cells = |method: Method| cfg.grid.cells(cfg.master_seed, method as u64);
+    let at = |method, g: GridCell| SweepCell {
+        method,
+        n_nodes: g.n_nodes,
+        churn: g.churn,
+        seed: g.seed,
+        sim_seed: g.sim_seed,
+    };
+    let by_method = cfg
+        .methods
+        .iter()
+        .map(|&m| cells(m).into_iter().map(move |g| at(m, g)));
+    by_method.flatten().collect()
 }
 
 /// One aggregated row: a `(method, population, churn)` group summarized
@@ -255,76 +186,49 @@ pub struct SweepReport {
     pub cells: Vec<CellOutcome>,
 }
 
-/// Expands, runs (in parallel) and aggregates a sweep.
+/// Expands, runs and aggregates a sweep.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
-    let cells = expand(cfg);
-    let jobs = if cfg.jobs == 0 {
-        pool::default_jobs()
-    } else {
-        cfg.jobs
-    };
-    let outcomes = pool::par_map(jobs, &cells, |cell| run_cell(cfg, cell));
+    let coords = expand(cfg);
+    let cells: Vec<Cell> = coords.iter().map(|c| cfg.cell(c)).collect();
+    let table = run_cells(&cells, cfg.scale.jobs);
+    let outcomes = coords
+        .into_iter()
+        .enumerate()
+        .map(|(i, cell)| CellOutcome {
+            cell,
+            stats: table.stats(i).clone(),
+        })
+        .collect();
     aggregate(cfg, outcomes)
 }
 
+/// The rows of `cells`: expansion order puts each `(method, population,
+/// churn)` group's seeds next to each other.
 fn aggregate(cfg: &SweepConfig, cells: Vec<CellOutcome>) -> SweepReport {
-    let mut rows = Vec::new();
-    for &method in &cfg.methods {
-        for &n_nodes in &cfg.grid.populations {
-            for &churn in &cfg.grid.churn {
-                let group: Vec<&CellOutcome> = cells
-                    .iter()
-                    .filter(|c| {
-                        c.cell.method == method
-                            && c.cell.n_nodes == n_nodes
-                            && c.cell.churn == churn
-                    })
-                    .collect();
-                if group.is_empty() {
-                    continue;
-                }
-                let take = |f: &dyn Fn(&RunStats) -> f64| -> Vec<f64> {
-                    group.iter().map(|c| f(&c.stats)).collect()
-                };
-                rows.push(SweepRow {
-                    method,
-                    n_nodes,
-                    churn,
-                    n_seeds: group.len(),
-                    mesh_delay: SummaryStats::from_samples(&take(&|s| s.result.mean_mesh_delay)),
-                    received_pct: SummaryStats::from_samples(&take(&|s| s.result.received_pct)),
-                    overhead: SummaryStats::from_samples(&take(&|s| s.result.overhead as f64)),
-                    data_msgs: SummaryStats::from_samples(&take(&|s| s.result.data_msgs as f64)),
-                });
+    let rows = cells
+        .chunks(cfg.grid.seeds.len().max(1))
+        .map(|group| {
+            let stats = |f: fn(&RunStats) -> f64| {
+                SummaryStats::from_samples(&group.iter().map(|c| f(&c.stats)).collect::<Vec<_>>())
+            };
+            let at = group[0].cell;
+            SweepRow {
+                method: at.method,
+                n_nodes: at.n_nodes,
+                churn: at.churn,
+                n_seeds: group.len(),
+                mesh_delay: stats(|s| s.result.mean_mesh_delay),
+                received_pct: stats(|s| s.result.received_pct),
+                overhead: stats(|s| s.result.overhead as f64),
+                data_msgs: stats(|s| s.result.data_msgs as f64),
             }
-        }
-    }
+        })
+        .collect();
     SweepReport {
         master_seed: cfg.master_seed,
         rows,
         cells,
     }
-}
-
-/// Runs `metric` on one method across `seeds` (in parallel; `jobs == 0`
-/// means all cores) and returns the **median** — the de-flaked statistic
-/// the paper-shape tests assert on. `make` builds the per-seed params.
-pub fn median_metric(
-    method: Method,
-    seeds: &[u64],
-    jobs: usize,
-    make: impl Fn(u64) -> RunParams + Sync,
-    metric: impl Fn(&crate::runner::RunResult) -> f64 + Sync,
-) -> f64 {
-    let jobs = if jobs == 0 {
-        pool::default_jobs()
-    } else {
-        jobs
-    };
-    let per_seed = pool::par_map(jobs, seeds, |&seed| {
-        metric(&crate::runner::run(method, &make(seed)))
-    });
-    dco_metrics::stats::median(&per_seed)
 }
 
 fn stats_json(s: &SummaryStats) -> Json {
@@ -392,19 +296,8 @@ impl SweepReport {
     pub fn to_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<6} {:>7} {:>8} {:>6} {:>10} {:>8} {:>11} {:>8} {:>12} {:>11}",
-            "method",
-            "nodes",
-            "churn",
-            "seeds",
-            "delay(s)",
-            "±95%",
-            "recv(%)",
-            "±95%",
-            "overhead",
-            "±95%"
+        out.push_str(
+            "method   nodes    churn  seeds   delay(s)     ±95%     recv(%)     ±95%     overhead        ±95%\n",
         );
         for r in &self.rows {
             let _ = writeln!(
@@ -465,7 +358,7 @@ mod tests {
     #[test]
     fn tiny_sweep_aggregates_and_renders() {
         let mut cfg = SweepConfig::tiny();
-        cfg.jobs = 2;
+        cfg.scale.jobs = 2;
         let report = run_sweep(&cfg);
         assert_eq!(report.cells.len(), 4);
         assert_eq!(report.rows.len(), 2);
@@ -486,9 +379,9 @@ mod tests {
     #[test]
     fn jobs_level_does_not_change_outcomes() {
         let mut one = SweepConfig::tiny();
-        one.jobs = 1;
+        one.scale.jobs = 1;
         let mut four = SweepConfig::tiny();
-        four.jobs = 4;
+        four.scale.jobs = 4;
         let a = run_sweep(&one);
         let b = run_sweep(&four);
         assert_eq!(a.cells.len(), b.cells.len());
@@ -496,37 +389,5 @@ mod tests {
             assert_eq!(x.cell, y.cell);
             assert_eq!(x.stats.proof, y.stats.proof, "cell {:?}", x.cell);
         }
-    }
-
-    #[test]
-    fn median_metric_matches_by_hand() {
-        let seeds = [1u64, 2, 3];
-        let med = median_metric(
-            Method::Pull,
-            &seeds,
-            2,
-            |seed| {
-                let mut p = RunParams::small(seed);
-                p.n_nodes = 16;
-                p.n_chunks = 5;
-                p.neighbors = 6;
-                p.horizon = SimTime::from_secs(30);
-                p
-            },
-            |r| r.mean_mesh_delay,
-        );
-        let mut by_hand: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                let mut p = RunParams::small(s);
-                p.n_nodes = 16;
-                p.n_chunks = 5;
-                p.neighbors = 6;
-                p.horizon = SimTime::from_secs(30);
-                crate::runner::run(Method::Pull, &p).mean_mesh_delay
-            })
-            .collect();
-        by_hand.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(med, by_hand[1]);
     }
 }

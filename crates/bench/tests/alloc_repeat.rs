@@ -9,7 +9,7 @@
 //! counting allocator, so it holds this one test: the counters are
 //! process-wide.
 
-use dco_bench::{run, Method, RunParams};
+use dco_bench::{run_with_stats, Method, RunParams};
 use dco_sim::counters::perf::{AllocStats, CountingAlloc};
 
 #[global_allocator]
@@ -23,7 +23,7 @@ fn allocated_bytes() -> u64 {
     params.n_nodes = 128;
     params.n_chunks = 200;
     let before = AllocStats::snapshot();
-    let result = run(Method::Dco, &params);
+    let result = run_with_stats(Method::Dco, &params).result;
     let bytes = AllocStats::snapshot().delta_since(before).bytes;
     assert!(result.fill_at_offset > 0.0, "the run streamed nothing");
     bytes

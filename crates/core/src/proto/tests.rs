@@ -27,7 +27,7 @@ fn static_flat_delivers_every_chunk() {
     sim.run_until(SimTime::from_secs(60));
     let p = sim.protocol();
     // 15 peers × 10 chunks, all expected and all received.
-    assert_eq!(p.obs.expected_pairs(), 150);
+    assert_eq!(p.obs.audience_pairs(), 150);
     assert_eq!(
         p.obs.received_pairs(),
         150,

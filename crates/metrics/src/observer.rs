@@ -273,8 +273,13 @@ impl StreamObserver {
         }
     }
 
-    /// Total expected `(chunk, node)` pairs.
-    pub fn expected_pairs(&self) -> usize {
+    /// Audience `(chunk, node)` pairs: every marked bit, over every chunk
+    /// slot. [`FigureMetrics::expected_pairs`] counts only the pairs of
+    /// chunks that were generated; a simulation marks a chunk's audience
+    /// when it generates the chunk, so there the two agree, but on an
+    /// arbitrary record (an audience marked for a chunk never generated)
+    /// this count is the larger.
+    pub fn audience_pairs(&self) -> usize {
         self.expected.count_ones()
     }
 
@@ -372,7 +377,8 @@ pub struct FigureMetrics {
     /// Element `t` = expected pairs received by instant `t` seconds
     /// (cumulative; the numerator of the global fill ratio per second).
     pub received_by_second: Vec<u64>,
-    /// Total expected pairs over generated chunks (the denominator).
+    /// Audience pairs of generated chunks only (the denominator); see
+    /// [`StreamObserver::audience_pairs`] for the count over every slot.
     pub expected_pairs: u64,
     /// Mean mesh delay in seconds (Fig. 5), unreceived chunks capped at
     /// the horizon.
@@ -487,7 +493,7 @@ mod tests {
         // By t=13: chunk0 {0,1}, chunk1 {0,1} → 4 of 6; by 14 all but one.
         assert_eq!(f.received_by_second[10..16], [0, 1, 3, 4, 5, 5]);
         assert!((f.received_pct - 100.0 * 5.0 / 6.0).abs() < 1e-9);
-        assert_eq!(o.expected_pairs(), 6);
+        assert_eq!(o.audience_pairs(), 6);
         assert_eq!(o.received_pairs(), 5);
         // Sub-second arrivals land in the *next* whole-second bucket.
         let mut o2 = StreamObserver::new(1, 1);
@@ -511,7 +517,7 @@ mod tests {
         let f = o.fold_figures(t(10), &[secs(1), secs(2)]);
         assert_eq!(f.fill_at_offsets, vec![0.0, 1.0]);
         assert_eq!(f.expected_pairs, 1);
-        assert_eq!(o.expected_pairs(), 1);
+        assert_eq!(o.audience_pairs(), 1);
     }
 
     #[test]

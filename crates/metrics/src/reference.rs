@@ -233,8 +233,9 @@ impl RetainedObserver {
         100.0 * self.global_fill_ratio(deadline)
     }
 
-    /// Total expected `(chunk, node)` pairs.
-    pub fn expected_pairs(&self) -> usize {
+    /// Audience `(chunk, node)` pairs over every chunk slot, as
+    /// [`StreamObserver::audience_pairs`](crate::StreamObserver::audience_pairs).
+    pub fn audience_pairs(&self) -> usize {
         self.expected
             .iter()
             .map(|v| v.iter().filter(|&&b| b).count())
@@ -274,7 +275,7 @@ mod tests {
         assert_eq!(o.received_at(0, NodeId(1)), Some(t(3)));
         assert_eq!(o.rereceptions(), 2);
         assert_eq!(o.received_pairs(), 1);
-        assert_eq!(o.expected_pairs(), 1);
+        assert_eq!(o.audience_pairs(), 1);
         assert_eq!(o.mesh_delay(0, t(100)), Some(SimDuration::from_secs(3)));
     }
 

@@ -146,7 +146,7 @@ mod tests {
             merged.out_of_order_receptions(),
             whole.out_of_order_receptions()
         );
-        assert_eq!(merged.expected_pairs(), whole.expected_pairs());
+        assert_eq!(merged.audience_pairs(), whole.audience_pairs());
         assert_eq!(merged.received_pairs(), whole.received_pairs());
         for seq in 0..4u32 {
             assert_eq!(merged.generated_at(seq), whole.generated_at(seq));

@@ -117,9 +117,9 @@ fn flat_observer_matches_retained_model_per_pair() {
             "every re-reception folds into exactly one counter"
         );
         tk_assert_eq!(
-            s.flat.expected_pairs(),
-            s.retained.expected_pairs(),
-            "expected_pairs"
+            s.flat.audience_pairs(),
+            s.retained.audience_pairs(),
+            "audience_pairs"
         );
         tk_assert_eq!(
             s.flat.received_pairs(),

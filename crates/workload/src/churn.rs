@@ -15,7 +15,7 @@ use dco_sim::rng::SimRng;
 use dco_sim::time::{SimDuration, SimTime};
 
 /// Churn parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChurnConfig {
     /// Mean up-time per session (exponential).
     pub mean_life: SimDuration,

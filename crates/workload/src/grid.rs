@@ -104,8 +104,9 @@ impl ScenarioGrid {
     }
 
     /// Expands the grid into cells in deterministic order: populations
-    /// outermost, then churn levels, then seeds.
-    pub fn cells(&self, master: u64) -> Vec<GridCell> {
+    /// outermost, then churn levels, then seeds. `extra` is folded into
+    /// every cell seed ([`ScenarioGrid::cell_seed`]).
+    pub fn cells(&self, master: u64, extra: u64) -> Vec<GridCell> {
         let mut out = Vec::with_capacity(self.len());
         for &n_nodes in &self.populations {
             for &churn in &self.churn {
@@ -114,7 +115,7 @@ impl ScenarioGrid {
                         n_nodes,
                         churn,
                         seed,
-                        sim_seed: Self::cell_seed(master, 0, n_nodes, churn, seed),
+                        sim_seed: Self::cell_seed(master, extra, n_nodes, churn, seed),
                     });
                 }
             }
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn expansion_is_the_full_product_in_order() {
         let g = grid();
-        let cells = g.cells(42);
+        let cells = g.cells(42, 0);
         assert_eq!(cells.len(), 12);
         assert_eq!(g.len(), 12);
         assert!(!g.is_empty());
@@ -159,9 +160,9 @@ mod tests {
             seeds: vec![3],
         };
         let big = grid();
-        let lone = small.cells(42)[0];
+        let lone = small.cells(42, 0)[0];
         let within = big
-            .cells(42)
+            .cells(42, 0)
             .into_iter()
             .find(|c| c.n_nodes == 64 && c.churn == ChurnLevel::MeanLife(20) && c.seed == 3)
             .unwrap();
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     fn cell_seeds_are_pairwise_distinct() {
-        let cells = grid().cells(42);
+        let cells = grid().cells(42, 0);
         let mut seeds: Vec<u64> = cells.iter().map(|c| c.sim_seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
@@ -182,8 +183,8 @@ mod tests {
 
     #[test]
     fn different_masters_decorrelate() {
-        let a = grid().cells(1);
-        let b = grid().cells(2);
+        let a = grid().cells(1, 0);
+        let b = grid().cells(2, 0);
         assert!(a.iter().zip(&b).all(|(x, y)| x.sim_seed != y.sim_seed));
     }
 

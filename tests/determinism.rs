@@ -1,7 +1,7 @@
-//! Determinism regression tests: the sweep harness's core contract is
-//! that a cell's simulation is **bit-exact** — identical event trace and
-//! counter state — whether the cell runs alone, repeated, or inside a
-//! parallel sweep at any `--jobs` level. These tests pin that contract;
+//! Determinism regression tests: the experiment pipeline's core contract
+//! is that a cell's simulation is **bit-exact** — identical event trace
+//! and counter state — whether the cell runs alone, repeated, or inside a
+//! parallel batch at any `--jobs` level. These tests pin that contract;
 //! if one ever fails, some code path made simulation behaviour depend on
 //! wall-clock, thread schedule or global state.
 //!
@@ -10,7 +10,7 @@
 //! `#[ignore]` release test per row).
 
 use dco_bench::shard_run::run_single_canonical;
-use dco_bench::sweep::{expand, run_cell, run_sweep, SweepConfig};
+use dco_bench::sweep::{expand, run_sweep, SweepConfig};
 use dco_bench::{run_with_stats, Method, RunParams};
 use dco_sim::time::{SimDuration, SimTime};
 use dco_workload::{ChurnConfig, ScenarioGrid};
@@ -87,9 +87,9 @@ fn sweep_cells_are_identical_across_jobs_levels() {
     // the same trace digest and the same counter snapshot under serial
     // (--jobs 1) and parallel (--jobs 4) execution.
     let mut serial = SweepConfig::tiny();
-    serial.jobs = 1;
+    serial.scale.jobs = 1;
     let mut parallel = SweepConfig::tiny();
-    parallel.jobs = 4;
+    parallel.scale.jobs = 4;
 
     let a = run_sweep(&serial);
     let b = run_sweep(&parallel);
@@ -122,9 +122,10 @@ fn a_cell_run_alone_matches_the_same_cell_inside_a_sweep() {
     let cells = expand(&cfg);
     let inside = run_sweep(&cfg);
     for (cell, outcome) in cells.iter().zip(&inside.cells) {
-        let alone = run_cell(&cfg, cell);
+        let run = cfg.cell(cell);
+        let alone = run_with_stats(run.method, &run.params);
         assert_eq!(
-            alone.stats.proof, outcome.stats.proof,
+            alone.proof, outcome.stats.proof,
             "cell {cell:?} differs alone vs in-sweep"
         );
     }
@@ -401,9 +402,9 @@ pinned_row_tests! {
 #[test]
 fn json_report_is_byte_identical_across_jobs_levels() {
     let mut one = SweepConfig::tiny();
-    one.jobs = 1;
+    one.scale.jobs = 1;
     let mut three = SweepConfig::tiny();
-    three.jobs = 3;
+    three.scale.jobs = 3;
     assert_eq!(
         run_sweep(&one).to_json(),
         run_sweep(&three).to_json(),

@@ -115,7 +115,7 @@ fn observer_invariants_hold() {
                 obs.record_received(seq, NodeId(node), SimTime::from_secs(t));
             }
         }
-        tk_assert!(obs.received_pairs() <= obs.expected_pairs());
+        tk_assert!(obs.received_pairs() <= obs.audience_pairs());
         let mut last = -1.0f64;
         for t in (0..500).step_by(50) {
             let pct = obs.fold_figures(SimTime::from_secs(t), &[]).received_pct;
@@ -150,12 +150,12 @@ fn dco_run_conservation() {
         sim.run_until(SimTime::from_secs(u64::from(n_chunks) + 40));
         let p = sim.protocol();
         tk_assert_eq!(
-            p.obs.expected_pairs(),
+            p.obs.audience_pairs(),
             (n_nodes as usize - 1) * n_chunks as usize
         );
-        tk_assert!(p.obs.received_pairs() <= p.obs.expected_pairs());
+        tk_assert!(p.obs.received_pairs() <= p.obs.audience_pairs());
         // Static + no loss ⇒ everything arrives.
-        tk_assert_eq!(p.obs.received_pairs(), p.obs.expected_pairs());
+        tk_assert_eq!(p.obs.received_pairs(), p.obs.audience_pairs());
         for (tag, _) in sim.counters().tags() {
             tk_assert!(
                 tag.starts_with("dco.") || tag.starts_with("chord."),
