@@ -13,6 +13,15 @@
 //! protocol in `dco-core` embed a real Chord ring, and what lets property
 //! tests drive the state machine without a simulator at all.
 //!
+//! # Routing
+//!
+//! One rule decides every hop toward a key's owner: deliver here if the
+//! key is in `(pred, me]`, deliver at the successor if it is in `(me,
+//! succ]`, else forward to the best greedy hop ([`RouteDecision`]).
+//! `FindSucc` forwarding, `fix_fingers` (which resolves a finger start
+//! locally or sends a lookup) and host-routed application messages
+//! ([`ChordNet::route_next`]) all call it.
+//!
 //! # Failure handling
 //!
 //! There are no response timeouts; instead, suspicion is tick-based: if a
@@ -527,6 +536,32 @@ impl Books {
             (f, s) => s.or(f),
         }
     }
+
+    /// The ring's one routing rule, Algorithm 1's "forward toward the
+    /// key's owner": [`RouteDecision::Deliver`] when no successor other
+    /// than `skip` is known or the key is in `(pred, me]`;
+    /// [`RouteDecision::DeliverAt`] the successor when it is in `(me,
+    /// succ]`; otherwise [`RouteDecision::Forward`] to the best greedy hop
+    /// other than `skip` and this node, falling back to the successor.
+    /// `skip` is a node that must be neither the answer nor a hop: a
+    /// `FindSucc`'s origin (a joiner resolving its own ID needs a successor
+    /// among the *existing* members), this node itself otherwise.
+    fn next_hop(&self, st: &ChordState, owner: usize, key: ChordId, skip: NodeId) -> RouteDecision {
+        let me = st.me;
+        let Some(succ) = self.succs.iter(owner).find(|p| p.node != skip) else {
+            return RouteDecision::Deliver;
+        };
+        if st.pred.is_some_and(|p| key.in_open_closed(p.id, me.id)) {
+            RouteDecision::Deliver
+        } else if key.in_open_closed(me.id, succ.id) {
+            RouteDecision::DeliverAt(succ)
+        } else {
+            let hop = self
+                .best_hop(st, owner, key)
+                .filter(|p| p.node != skip && p.node != me.node);
+            RouteDecision::Forward(hop.unwrap_or(succ))
+        }
+    }
 }
 
 /// Read view of one node's Chord state: the scalar core rejoined with its
@@ -859,56 +894,24 @@ impl ChordNet {
         let owner = node.index();
         let (st, books) = self.state_mut(node).expect("caller checked");
         books.learn(st, owner, origin);
-        let me = st.me;
-        let answer = |out: &mut Outbox, succ: Peer| {
-            out.send(
-                node,
-                origin.node,
-                ChordMsg::FoundSucc { succ, token },
-                "chord.found",
-            );
-        };
-        // The origin must never be its own answer or a forwarding hop —
-        // when a joiner resolves its own ID the result has to be its future
-        // successor among the *existing* members (we may have already
-        // learned the joiner into our tables above).
-        let skip = origin.node;
-        let succ = books.succs.iter(owner).find(|p| p.node != skip);
-        let Some(succ) = succ else {
-            // No other member known: I am the ring (or all I know is the
-            // origin itself) — I own everything else.
-            answer(out, me);
-            return;
-        };
-        // Owner checks: me, then my successor.
-        if let Some(pred) = st.pred {
-            if key.in_open_closed(pred.id, me.id) {
-                answer(out, me);
+        let succ = match books.next_hop(st, owner, key, origin.node) {
+            RouteDecision::Deliver => st.me,
+            RouteDecision::DeliverAt(succ) => succ,
+            RouteDecision::Forward(_) if ttl == 0 => return, // loop guard: origin retries
+            RouteDecision::Forward(hop) => {
+                let ttl = ttl - 1;
+                let find = ChordMsg::FindSucc {
+                    key,
+                    origin,
+                    token,
+                    ttl,
+                };
+                out.send(node, hop.node, find, "chord.find");
                 return;
             }
-        }
-        if key.in_open_closed(me.id, succ.id) {
-            answer(out, succ);
-            return;
-        }
-        if ttl == 0 {
-            return; // loop guard: drop, origin retries
-        }
-        let hop = books
-            .best_hop(st, owner, key)
-            .filter(|p| p.node != skip && p.node != node)
-            .unwrap_or(succ);
-        out.send(
-            node,
-            hop.node,
-            ChordMsg::FindSucc {
-                key,
-                origin,
-                token,
-                ttl: ttl - 1,
-            },
-            "chord.find",
-        );
+        };
+        let found = ChordMsg::FoundSucc { succ, token };
+        out.send(node, origin.node, found, "chord.found");
     }
 
     fn handle_found(&mut self, node: NodeId, succ: Peer, token: RouteToken, out: &mut Outbox) {
@@ -1142,42 +1145,24 @@ impl ChordNet {
         let me = st.me;
         for k in 0..crate::id::ID_BITS {
             let start = me.id.finger_start(k);
-            // Resolve locally when we already know the owner.
-            let answered = {
-                let succ = books.succs.first(owner).expect("non-empty checked above");
-                if let Some(pred) = st.pred {
-                    if start.in_open_closed(pred.id, me.id) {
-                        books.fingers.clear(owner, k); // we own it ourselves
-                        true
-                    } else if start.in_open_closed(me.id, succ.id) {
-                        books.fingers.set(owner, k, succ);
-                        true
-                    } else {
-                        false
-                    }
-                } else if start.in_open_closed(me.id, succ.id) {
-                    books.fingers.set(owner, k, succ);
-                    true
-                } else {
-                    false
+            match books.next_hop(st, owner, start, node) {
+                // We own the start ourselves, or our successor does.
+                RouteDecision::Deliver => books.fingers.clear(owner, k),
+                RouteDecision::DeliverAt(succ) => books.fingers.set(owner, k, succ),
+                RouteDecision::Forward(hop) => {
+                    st.pending_fingers.push((k, hop.node));
+                    out.send(
+                        node,
+                        hop.node,
+                        ChordMsg::FindSucc {
+                            key: start,
+                            origin: me,
+                            token: RouteToken::Finger(k),
+                            ttl: FIND_TTL,
+                        },
+                        "chord.find",
+                    );
                 }
-            };
-            if !answered {
-                let succ = books.succs.first(owner).expect("non-empty checked above");
-                let hop = books.best_hop(st, owner, start).unwrap_or(succ);
-                let hop = if hop.node == node { succ } else { hop };
-                st.pending_fingers.push((k, hop.node));
-                out.send(
-                    node,
-                    hop.node,
-                    ChordMsg::FindSucc {
-                        key: start,
-                        origin: me,
-                        token: RouteToken::Finger(k),
-                        ttl: FIND_TTL,
-                    },
-                    "chord.find",
-                );
             }
         }
     }
@@ -1186,36 +1171,26 @@ impl ChordNet {
     // Application routing
     // ------------------------------------------------------------------
 
-    /// Greedy next-hop decision for a host-routed message keyed by `key`.
+    /// Where `node` sends a host-routed message keyed by `key`: the ring's
+    /// one routing rule (the one `FindSucc` forwarding and finger repair
+    /// use), with no node skipped but `node` itself. `None` if `node`
+    /// holds no ring state.
     ///
-    /// Hosts that piggyback application payloads hop-by-hop (as DCO does for
-    /// `Insert`/`Lookup`) call this at every hop.
+    /// Hosts that piggyback application payloads hop-by-hop (as DCO does
+    /// for its routed `Insert`, `Deregister` and `Lookup`) call this at
+    /// every hop.
     pub fn route_next(&self, node: NodeId, key: ChordId) -> Option<RouteDecision> {
         let owner = node.index();
         let st = self.nodes.get(owner).and_then(Option::as_ref)?;
-        let me = st.me;
-        let Some(succ) = self.books.succs.first(owner) else {
-            return Some(RouteDecision::Deliver); // singleton owns all
-        };
-        if let Some(pred) = st.pred {
-            if key.in_open_closed(pred.id, me.id) {
-                return Some(RouteDecision::Deliver);
-            }
-        }
-        if key.in_open_closed(me.id, succ.id) {
-            return Some(RouteDecision::DeliverAt(succ));
-        }
-        let hop = self.books.best_hop(st, owner, key).unwrap_or(succ);
-        let hop = if hop.node == node { succ } else { hop };
-        Some(RouteDecision::Forward(hop))
+        Some(self.books.next_hop(st, owner, key, node))
     }
 
     /// Memoized [`ChordNet::route_next`], reduced to node ids.
     ///
     /// Identical decisions, cached per (node, key) and invalidated whenever
-    /// the deciding node's state mutates. Hop-by-hop hosts (DCO's
-    /// `Insert`/`Lookup` routing) should prefer this; it turns each hop of
-    /// a stable ring into one array read instead of a finger-table scan.
+    /// the deciding node's state mutates. Hop-by-hop hosts (DCO's routed
+    /// messages) should prefer this; it turns each hop of a stable ring
+    /// into one array read instead of a finger-table scan.
     pub fn route_next_cached(&mut self, node: NodeId, key: ChordId) -> Option<RouteStep> {
         let Some(slot) = self.route_cache.slot_of(key) else {
             return self.route_next(node, key).map(RouteStep::of);

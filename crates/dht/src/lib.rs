@@ -59,10 +59,12 @@
 //! ## Relationship to DCO
 //!
 //! `dco-core` embeds [`chord::ChordNet`] to maintain its coordinator ring
-//! and routes its `Insert(ID, index)` / `Lookup(ID)` messages hop-by-hop
-//! with [`chord::ChordNet::route_next`], exactly the flow of the paper's
+//! and routes its keyed messages — `Insert(ID, index)`, `Lookup(ID)` and a
+//! leaver's `Deregister` — hop-by-hop with
+//! [`chord::ChordNet::route_next_cached`], exactly the flow of the paper's
 //! Algorithm 1 (lines 15–27: coordinators forward messages they do not own
-//! toward the owner).
+//! toward the owner). It is the same next-hop rule Chord's own `FindSucc`
+//! lookups and finger repair follow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
