@@ -45,4 +45,4 @@ pub use buffer::BufferMap;
 pub use chunk::{ChunkNamer, ChunkSeq};
 pub use index::{ChunkIndex, IndexTable, SelectPolicy};
 pub use longevity::Covariates;
-pub use proto::{DcoConfig, DcoMsg, DcoProtocol, DcoTimer, Role, TierMode};
+pub use proto::{DcoConfig, DcoMsg, DcoProtocol, DcoTimer, Hop, Role, RoutedOp, TierMode};

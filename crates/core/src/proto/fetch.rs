@@ -1,15 +1,14 @@
 //! The data plane: the fetch loop, provider handling, chunk serving and
 //! reception (Algorithm 1 lines 1–14).
 
-use dco_dht::chord::FIND_TTL;
 use dco_sim::prelude::*;
 use dco_sim::smallvec::SmallVec;
 
 use crate::chunk::{latest_at, ChunkSeq, CHUNK_SIZE};
 
 use super::{
-    DcoMsg, DcoProtocol, DcoTimer, Role, BUSY_BACKLOG, FETCH_TICK, MAX_INFLIGHT, REPORT_BATCH,
-    REPORT_EVERY, REQUEST_TIMEOUT,
+    DcoMsg, DcoProtocol, DcoTimer, Role, RoutedOp, BUSY_BACKLOG, FETCH_TICK, MAX_INFLIGHT,
+    REPORT_BATCH, REPORT_EVERY, REQUEST_TIMEOUT,
 };
 
 impl DcoProtocol {
@@ -96,19 +95,17 @@ impl DcoProtocol {
         exclude: Option<NodeId>,
         ctx: &mut Ctx<'_, Self>,
     ) {
-        let key = self.key_of(seq);
-        let Some((role, coordinator)) = self.state(node).map(|st| (st.role, st.coordinator)) else {
-            return;
-        };
-        self.lookups.insert(node.index(), seq.0, ());
-        ctx.set_timer(node, REQUEST_TIMEOUT, DcoTimer::LookupTimeout { seq });
-        if role == Role::Client {
-            if let Some(c) = coordinator {
-                ctx.send_control(node, c, DcoMsg::ClientLookup { seq, exclude }, "dco.lookup");
-            }
+        if self.state(node).is_none() {
             return;
         }
-        self.route_lookup(node, key, seq, node, exclude, FIND_TTL, false, ctx);
+        self.lookups.insert(node.index(), seq.0, ());
+        ctx.set_timer(node, REQUEST_TIMEOUT, DcoTimer::LookupTimeout { seq });
+        let op = RoutedOp::Lookup {
+            seq,
+            origin: node,
+            exclude,
+        };
+        self.send_routed(node, self.key_of(seq), op, ctx);
     }
 
     // ------------------------------------------------------------------

@@ -6,8 +6,6 @@ use dco_dht::hash::hash_node;
 use dco_dht::id::Peer;
 use dco_sim::prelude::*;
 
-use crate::chunk::ChunkSeq;
-use crate::index::ChunkIndex;
 use crate::longevity::longevity_probability;
 
 use super::{
@@ -62,46 +60,6 @@ impl DcoProtocol {
         if self.state(node).is_some() && !self.clients.contains(node.index(), from.0) {
             self.clients.push_back(node.index(), from.0);
         }
-    }
-
-    /// Coordinator side: proxy a client's lookup into the ring with the
-    /// client as origin (the answer goes straight back to the client).
-    pub(super) fn handle_client_lookup(
-        &mut self,
-        node: NodeId,
-        from: NodeId,
-        seq: ChunkSeq,
-        exclude: Option<NodeId>,
-        ctx: &mut Ctx<'_, Self>,
-    ) {
-        if self.chord.state(node).is_none() {
-            return; // not a ring member (stale client pointer)
-        }
-        let key = self.key_of(seq);
-        self.route_lookup(
-            node,
-            key,
-            seq,
-            from,
-            exclude,
-            dco_dht::chord::FIND_TTL,
-            false,
-            ctx,
-        );
-    }
-
-    /// Coordinator side: proxy a client's index registration.
-    pub(super) fn handle_client_insert(
-        &mut self,
-        node: NodeId,
-        index: ChunkIndex,
-        ctx: &mut Ctx<'_, Self>,
-    ) {
-        if self.chord.state(node).is_none() {
-            return;
-        }
-        let key = self.key_of(index.seq);
-        self.route_insert(node, key, index, dco_dht::chord::FIND_TTL, false, ctx);
     }
 
     /// Coordinator side: a client reported its longevity probability.

@@ -137,44 +137,16 @@ impl DcoConfig {
 pub enum DcoMsg {
     /// Chord ring maintenance.
     Chord(ChordMsg),
-    /// `Insert(ID, index)` travelling toward the chunk's coordinator.
-    Insert {
+    /// A keyed message travelling toward the coordinator of `key`, the
+    /// chunk's ring ID (Algorithm 1 lines 15–27): every hop that does not
+    /// own the key forwards it toward the owner, which carries out `op`.
+    Routed {
         /// Chunk ring ID.
         key: ChordId,
-        /// The index being registered.
-        index: ChunkIndex,
-        /// Hops left.
-        ttl: u8,
-        /// Final-delivery marker (owner determined by previous hop).
-        fin: bool,
-    },
-    /// Remove one holder's index (graceful departure) — routed.
-    Deregister {
-        /// Chunk ring ID.
-        key: ChordId,
-        /// The departing holder.
-        holder: NodeId,
-        /// Hops left.
-        ttl: u8,
-        /// Final-delivery marker.
-        fin: bool,
-    },
-    /// `Lookup(ID)` travelling toward the chunk's coordinator. Doubles as
-    /// the failure report: `exclude` names a provider observed dead, which
-    /// the coordinator drops before answering (§III-B1b "Node Failure").
-    Lookup {
-        /// Chunk ring ID.
-        key: ChordId,
-        /// Chunk sequence (echoed in the answer).
-        seq: ChunkSeq,
-        /// The requesting node (the answer goes straight back).
-        origin: NodeId,
-        /// A provider to drop and avoid.
-        exclude: Option<NodeId>,
-        /// Hops left.
-        ttl: u8,
-        /// Final-delivery marker.
-        fin: bool,
+        /// How the receiver treats this hop.
+        hop: Hop,
+        /// What the owner does with it.
+        op: RoutedOp,
     },
     /// Coordinator → requester: the chosen provider (or none known).
     Provider {
@@ -219,18 +191,6 @@ pub enum DcoMsg {
     },
     /// Hierarchical: client → coordinator, registering as its client.
     ClientAttach,
-    /// Hierarchical: client → coordinator, proxied lookup.
-    ClientLookup {
-        /// The chunk wanted.
-        seq: ChunkSeq,
-        /// A provider to drop and avoid.
-        exclude: Option<NodeId>,
-    },
-    /// Hierarchical: client → coordinator, proxied index registration.
-    ClientInsert {
-        /// The index being registered.
-        index: ChunkIndex,
-    },
     /// Hierarchical: client → coordinator, "my longevity passed the bar".
     StableReport {
         /// The client's longevity probability.
@@ -245,6 +205,59 @@ pub enum DcoMsg {
         /// The dead coordinator.
         dead: NodeId,
     },
+}
+
+/// How the receiver of a [`DcoMsg::Routed`] message treats it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Hop {
+    /// Client → its coordinator: dropped unless the receiver is a ring
+    /// member (a stale client pointer), then routed with a fresh
+    /// [`FIND_TTL`](dco_dht::chord::FIND_TTL).
+    Proxy,
+    /// Route on, with this many forwards left before the message is
+    /// dropped (loop guard).
+    Forward(u8),
+    /// The previous hop named the receiver the key's owner: carry out the
+    /// operation without re-routing (the receiver's own predecessor
+    /// pointer may transiently disagree).
+    Final,
+}
+
+/// What the coordinator of a [`DcoMsg::Routed`] message's key does with it.
+#[derive(Clone, Copy, Debug)]
+pub enum RoutedOp {
+    /// `Insert(ID, index)`: register a provider.
+    Insert {
+        /// The index being registered.
+        index: ChunkIndex,
+    },
+    /// Remove one holder's index (graceful departure, §III-B1b).
+    Deregister {
+        /// The departing holder.
+        holder: NodeId,
+    },
+    /// `Lookup(ID)`: answer `origin` with a provider. Doubles as the
+    /// failure report: `exclude` names a provider observed dead, which the
+    /// coordinator drops before answering (§III-B1b "Node Failure").
+    Lookup {
+        /// Chunk sequence (echoed in the answer).
+        seq: ChunkSeq,
+        /// The requesting node (the answer goes straight back).
+        origin: NodeId,
+        /// A provider to drop and avoid.
+        exclude: Option<NodeId>,
+    },
+}
+
+impl RoutedOp {
+    /// The overhead-accounting tag of every hop of this operation.
+    fn tag(&self) -> &'static str {
+        match self {
+            RoutedOp::Insert { .. } => "dco.insert",
+            RoutedOp::Deregister { .. } => "dco.dereg",
+            RoutedOp::Lookup { .. } => "dco.lookup",
+        }
+    }
 }
 
 /// DCO timers.
@@ -494,26 +507,7 @@ impl Protocol for DcoProtocol {
     fn on_message(&mut self, node: NodeId, from: NodeId, msg: DcoMsg, ctx: &mut Ctx<'_, Self>) {
         match msg {
             DcoMsg::Chord(m) => self.handle_chord(node, from, m, ctx),
-            DcoMsg::Insert {
-                key,
-                index,
-                ttl,
-                fin,
-            } => self.route_insert(node, key, index, ttl, fin, ctx),
-            DcoMsg::Deregister {
-                key,
-                holder,
-                ttl,
-                fin,
-            } => self.route_deregister(node, key, holder, ttl, fin, ctx),
-            DcoMsg::Lookup {
-                key,
-                seq,
-                origin,
-                exclude,
-                ttl,
-                fin,
-            } => self.route_lookup(node, key, seq, origin, exclude, ttl, fin, ctx),
+            DcoMsg::Routed { key, hop, op } => self.route(node, key, hop, op, ctx),
             DcoMsg::Provider { seq, provider } => self.handle_provider(node, seq, provider, ctx),
             DcoMsg::ChunkRequest { seq } => self.handle_chunk_request(node, from, seq, ctx),
             DcoMsg::ChunkData { seq } => self.handle_chunk_data(node, from, seq, ctx),
@@ -529,10 +523,6 @@ impl Protocol for DcoProtocol {
                 self.handle_attach_assign(node, coordinator, ctx)
             }
             DcoMsg::ClientAttach => self.handle_client_attach(node, from),
-            DcoMsg::ClientLookup { seq, exclude } => {
-                self.handle_client_lookup(node, from, seq, exclude, ctx)
-            }
-            DcoMsg::ClientInsert { index } => self.handle_client_insert(node, index, ctx),
             DcoMsg::StableReport { longevity } => self.handle_stable_report(node, from, longevity),
             DcoMsg::Promote => self.handle_promote(node, from, ctx),
             DcoMsg::CoordinatorAnnounce => self.handle_coordinator_announce(node, from),

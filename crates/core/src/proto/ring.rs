@@ -1,5 +1,6 @@
-//! Ring-side logic: membership, Chord glue, routed `Insert` / `Lookup` /
-//! `Deregister`, coordinator duties and the server's chunk generation.
+//! Ring-side logic: membership, Chord glue, the routing of keyed messages
+//! (`Insert`, `Lookup`, `Deregister`), coordinator duties and the server's
+//! chunk generation.
 
 use dco_dht::chord::{ChordEvent, ChordMsg, Outbox, RouteStep, FIND_TTL};
 use dco_dht::hash::hash_node;
@@ -10,8 +11,8 @@ use crate::chunk::{latest_at, ChunkSeq, CHUNK_INTERVAL};
 use crate::index::ChunkIndex;
 
 use super::{
-    DcoMsg, DcoProtocol, DcoTimer, NodeState, Role, TierMode, AVAIL_HORIZON, FETCH_TICK,
-    FIX_FINGERS_EVERY, JOIN_RETRY_EVERY, REPORT_EVERY, STABILIZE_EVERY, STREAM_RATE,
+    DcoMsg, DcoProtocol, DcoTimer, Hop, NodeState, Role, RoutedOp, TierMode, AVAIL_HORIZON,
+    FETCH_TICK, FIX_FINGERS_EVERY, JOIN_RETRY_EVERY, REPORT_EVERY, STABILIZE_EVERY, STREAM_RATE,
 };
 
 /// Hub stream id for the per-node provider-selection RNG used in sharded
@@ -112,20 +113,13 @@ impl DcoProtocol {
             let coordinator = self.state(node).and_then(|st| st.coordinator);
             for seq in held {
                 let key = self.key_of(seq);
+                let op = RoutedOp::Deregister { holder: node };
+                let hop = Hop::Forward(FIND_TTL);
                 if is_ring_member {
-                    self.route_deregister(node, key, node, FIND_TTL, false, ctx);
+                    self.route(node, key, hop, op, ctx);
                 } else if let Some(c) = coordinator {
-                    ctx.send_control(
-                        node,
-                        c,
-                        DcoMsg::Deregister {
-                            key,
-                            holder: node,
-                            ttl: FIND_TTL,
-                            fin: false,
-                        },
-                        "dco.dereg",
-                    );
+                    // Not a proxy: the coordinator routes it on unchecked.
+                    ctx.send_control(node, c, DcoMsg::Routed { key, hop, op }, op.tag());
                 }
             }
             if is_ring_member {
@@ -317,175 +311,77 @@ impl DcoProtocol {
             held_count: held,
         };
         let key = self.key_of(seq);
-        let is_client = self
-            .state(node)
-            .map(|st| st.role == Role::Client)
-            .unwrap_or(false);
-        if is_client {
-            if let Some(c) = self.state(node).and_then(|st| st.coordinator) {
-                ctx.send_control(node, c, DcoMsg::ClientInsert { index }, "dco.insert");
-            }
-            return;
-        }
-        self.route_insert(node, key, index, FIND_TTL, false, ctx);
+        self.send_routed(node, key, RoutedOp::Insert { index }, ctx);
     }
 
-    pub(super) fn route_insert(
+    /// Starts `op` toward the coordinator of `key` from `node`: a client
+    /// hands it to its coordinator as a proxy, a ring member routes it
+    /// itself.
+    pub(super) fn send_routed(
+        &mut self,
+        node: NodeId,
+        key: ChordId,
+        op: RoutedOp,
+        ctx: &mut Ctx<'_, Self>,
+    ) {
+        match self.state(node).map(|st| (st.role, st.coordinator)) {
+            Some((Role::Client, Some(c))) => {
+                let msg = DcoMsg::Routed {
+                    key,
+                    hop: Hop::Proxy,
+                    op,
+                };
+                ctx.send_control(node, c, msg, op.tag());
+            }
+            Some((Role::Client, None)) => {}
+            _ => self.route(node, key, Hop::Forward(FIND_TTL), op, ctx),
+        }
+    }
+
+    /// Algorithm 1 lines 15–27 for every keyed message: carry out `op` at
+    /// `at` if it owns `key`, else pass the message one hop toward the
+    /// owner.
+    pub(super) fn route(
         &mut self,
         at: NodeId,
         key: ChordId,
-        index: ChunkIndex,
-        ttl: u8,
-        fin: bool,
+        hop: Hop,
+        op: RoutedOp,
         ctx: &mut Ctx<'_, Self>,
     ) {
-        if fin {
-            self.deliver_insert(at, key, index);
-            return;
-        }
-        match self.chord.route_next_cached(at, key) {
-            Some(RouteStep::Deliver) | None => self.deliver_insert(at, key, index),
-            Some(RouteStep::DeliverAt(p)) => {
-                ctx.send_control(
-                    at,
-                    p,
-                    DcoMsg::Insert {
-                        key,
-                        index,
-                        ttl: 0,
-                        fin: true,
-                    },
-                    "dco.insert",
-                );
-            }
-            Some(RouteStep::Forward(p)) => {
-                if ttl > 0 {
-                    ctx.send_control(
-                        at,
-                        p,
-                        DcoMsg::Insert {
-                            key,
-                            index,
-                            ttl: ttl - 1,
-                            fin: false,
-                        },
-                        "dco.insert",
-                    );
+        let ttl = match hop {
+            Hop::Final => return self.deliver(at, key, op, ctx),
+            Hop::Proxy if self.chord.state(at).is_none() => return, // stale client pointer
+            Hop::Proxy => FIND_TTL,
+            Hop::Forward(ttl) => ttl,
+        };
+        let (to, hop) = match self.chord.route_next_cached(at, key) {
+            Some(RouteStep::Deliver) | None => return self.deliver(at, key, op, ctx),
+            Some(RouteStep::DeliverAt(p)) => (p, Hop::Final),
+            Some(RouteStep::Forward(_)) if ttl == 0 => return,
+            Some(RouteStep::Forward(p)) => (p, Hop::Forward(ttl - 1)),
+        };
+        ctx.send_control(at, to, DcoMsg::Routed { key, hop, op }, op.tag());
+    }
+
+    /// Carries out `op` at `at`, the coordinator of `key`.
+    fn deliver(&mut self, at: NodeId, key: ChordId, op: RoutedOp, ctx: &mut Ctx<'_, Self>) {
+        match op {
+            RoutedOp::Insert { index } => {
+                if let Some(st) = self.state_mut(at) {
+                    st.index.register(key, index);
                 }
             }
-        }
-    }
-
-    fn deliver_insert(&mut self, at: NodeId, key: ChordId, index: ChunkIndex) {
-        if let Some(st) = self.state_mut(at) {
-            st.index.register(key, index);
-        }
-    }
-
-    pub(super) fn route_deregister(
-        &mut self,
-        at: NodeId,
-        key: ChordId,
-        holder: NodeId,
-        ttl: u8,
-        fin: bool,
-        ctx: &mut Ctx<'_, Self>,
-    ) {
-        if fin {
-            if let Some(st) = self.state_mut(at) {
-                st.index.remove_holder(key, holder);
-            }
-            return;
-        }
-        match self.chord.route_next_cached(at, key) {
-            Some(RouteStep::Deliver) | None => {
+            RoutedOp::Deregister { holder } => {
                 if let Some(st) = self.state_mut(at) {
                     st.index.remove_holder(key, holder);
                 }
             }
-            Some(RouteStep::DeliverAt(p)) => {
-                ctx.send_control(
-                    at,
-                    p,
-                    DcoMsg::Deregister {
-                        key,
-                        holder,
-                        ttl: 0,
-                        fin: true,
-                    },
-                    "dco.dereg",
-                );
-            }
-            Some(RouteStep::Forward(p)) => {
-                if ttl > 0 {
-                    ctx.send_control(
-                        at,
-                        p,
-                        DcoMsg::Deregister {
-                            key,
-                            holder,
-                            ttl: ttl - 1,
-                            fin: false,
-                        },
-                        "dco.dereg",
-                    );
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn route_lookup(
-        &mut self,
-        at: NodeId,
-        key: ChordId,
-        seq: ChunkSeq,
-        origin: NodeId,
-        exclude: Option<NodeId>,
-        ttl: u8,
-        fin: bool,
-        ctx: &mut Ctx<'_, Self>,
-    ) {
-        if fin {
-            self.deliver_lookup(at, key, seq, origin, exclude, ctx);
-            return;
-        }
-        match self.chord.route_next_cached(at, key) {
-            Some(RouteStep::Deliver) | None => {
-                self.deliver_lookup(at, key, seq, origin, exclude, ctx)
-            }
-            Some(RouteStep::DeliverAt(p)) => {
-                ctx.send_control(
-                    at,
-                    p,
-                    DcoMsg::Lookup {
-                        key,
-                        seq,
-                        origin,
-                        exclude,
-                        ttl: 0,
-                        fin: true,
-                    },
-                    "dco.lookup",
-                );
-            }
-            Some(RouteStep::Forward(p)) => {
-                if ttl > 0 {
-                    ctx.send_control(
-                        at,
-                        p,
-                        DcoMsg::Lookup {
-                            key,
-                            seq,
-                            origin,
-                            exclude,
-                            ttl: ttl - 1,
-                            fin: false,
-                        },
-                        "dco.lookup",
-                    );
-                }
-            }
+            RoutedOp::Lookup {
+                seq,
+                origin,
+                exclude,
+            } => self.deliver_lookup(at, key, seq, origin, exclude, ctx),
         }
     }
 

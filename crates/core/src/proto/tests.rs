@@ -3,7 +3,7 @@
 use dco_sim::prelude::*;
 
 use crate::chunk::ChunkSeq;
-use crate::proto::{DcoConfig, DcoProtocol, Role, TierMode};
+use crate::proto::{DcoConfig, DcoMsg, DcoProtocol, Role, TierMode};
 
 fn build(cfg: DcoConfig, seed: u64) -> Simulator<DcoProtocol> {
     let n = cfg.n_nodes;
@@ -18,6 +18,17 @@ fn build(cfg: DcoConfig, seed: u64) -> Simulator<DcoProtocol> {
         sim.schedule_join(id, SimTime::ZERO);
     }
     sim
+}
+
+/// Every queued event carries a `DcoMsg`, so its size sets theirs; the
+/// largest variant is Chord's (`ChordMsg`), not the routed envelope.
+#[test]
+fn dco_messages_are_no_larger_than_chord_messages() {
+    assert_eq!(std::mem::size_of::<DcoMsg>(), 72);
+    assert_eq!(
+        std::mem::size_of::<DcoMsg>(),
+        std::mem::size_of::<dco_dht::chord::ChordMsg>()
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@ use dco_sim::wire::{WireCodec, WireError, WireReader};
 
 use crate::chunk::ChunkSeq;
 use crate::index::ChunkIndex;
-use crate::proto::DcoMsg;
+use crate::proto::{DcoMsg, Hop, RoutedOp};
 
 impl WireCodec for ChunkSeq {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -38,6 +38,64 @@ impl WireCodec for ChunkIndex {
     }
 }
 
+impl WireCodec for Hop {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Hop::Proxy => out.push(0),
+            Hop::Forward(ttl) => {
+                out.push(1);
+                ttl.encode(out);
+            }
+            Hop::Final => out.push(2),
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(Hop::Proxy),
+            1 => Ok(Hop::Forward(r.get()?)),
+            2 => Ok(Hop::Final),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl WireCodec for RoutedOp {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RoutedOp::Insert { index } => {
+                out.push(0);
+                index.encode(out);
+            }
+            RoutedOp::Deregister { holder } => {
+                out.push(1);
+                holder.encode(out);
+            }
+            RoutedOp::Lookup {
+                seq,
+                origin,
+                exclude,
+            } => {
+                out.push(2);
+                seq.encode(out);
+                origin.encode(out);
+                exclude.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.get::<u8>()? {
+            0 => Ok(RoutedOp::Insert { index: r.get()? }),
+            1 => Ok(RoutedOp::Deregister { holder: r.get()? }),
+            2 => Ok(RoutedOp::Lookup {
+                seq: r.get()?,
+                origin: r.get()?,
+                exclude: r.get()?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
 impl WireCodec for DcoMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -45,94 +103,51 @@ impl WireCodec for DcoMsg {
                 out.push(0);
                 m.encode(out);
             }
-            DcoMsg::Insert {
-                key,
-                index,
-                ttl,
-                fin,
-            } => {
+            DcoMsg::Routed { key, hop, op } => {
                 out.push(1);
                 key.encode(out);
-                index.encode(out);
-                ttl.encode(out);
-                fin.encode(out);
-            }
-            DcoMsg::Deregister {
-                key,
-                holder,
-                ttl,
-                fin,
-            } => {
-                out.push(2);
-                key.encode(out);
-                holder.encode(out);
-                ttl.encode(out);
-                fin.encode(out);
-            }
-            DcoMsg::Lookup {
-                key,
-                seq,
-                origin,
-                exclude,
-                ttl,
-                fin,
-            } => {
-                out.push(3);
-                key.encode(out);
-                seq.encode(out);
-                origin.encode(out);
-                exclude.encode(out);
-                ttl.encode(out);
-                fin.encode(out);
+                hop.encode(out);
+                op.encode(out);
             }
             DcoMsg::Provider { seq, provider } => {
-                out.push(4);
+                out.push(2);
                 seq.encode(out);
                 provider.encode(out);
             }
             DcoMsg::ChunkRequest { seq } => {
-                out.push(5);
+                out.push(3);
                 seq.encode(out);
             }
             DcoMsg::ChunkData { seq } => {
-                out.push(6);
+                out.push(4);
                 seq.encode(out);
             }
             DcoMsg::Busy { seq } => {
-                out.push(7);
+                out.push(5);
                 seq.encode(out);
             }
             DcoMsg::NoChunk { seq } => {
-                out.push(8);
+                out.push(6);
                 seq.encode(out);
             }
             DcoMsg::IndexHandover { entries } => {
-                out.push(9);
+                out.push(7);
                 entries.encode(out);
             }
-            DcoMsg::AttachRequest => out.push(10),
+            DcoMsg::AttachRequest => out.push(8),
             DcoMsg::AttachAssign { coordinator } => {
-                out.push(11);
+                out.push(9);
                 coordinator.encode(out);
             }
-            DcoMsg::ClientAttach => out.push(12),
-            DcoMsg::ClientLookup { seq, exclude } => {
-                out.push(13);
-                seq.encode(out);
-                exclude.encode(out);
-            }
-            DcoMsg::ClientInsert { index } => {
-                out.push(14);
-                index.encode(out);
-            }
+            DcoMsg::ClientAttach => out.push(10),
             DcoMsg::StableReport { longevity } => {
-                out.push(15);
+                out.push(11);
                 longevity.encode(out);
             }
-            DcoMsg::Promote => out.push(16),
-            DcoMsg::CoordinatorAnnounce => out.push(17),
+            DcoMsg::Promote => out.push(12),
+            DcoMsg::CoordinatorAnnounce => out.push(13),
             DcoMsg::CoordinatorLost { dead } => {
-                out.push(18);
+                out.push(14);
                 dead.encode(out);
             }
         }
@@ -140,51 +155,31 @@ impl WireCodec for DcoMsg {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.get::<u8>()? {
             0 => Ok(DcoMsg::Chord(r.get()?)),
-            1 => Ok(DcoMsg::Insert {
+            1 => Ok(DcoMsg::Routed {
                 key: r.get()?,
-                index: r.get()?,
-                ttl: r.get()?,
-                fin: r.get()?,
+                hop: r.get()?,
+                op: r.get()?,
             }),
-            2 => Ok(DcoMsg::Deregister {
-                key: r.get()?,
-                holder: r.get()?,
-                ttl: r.get()?,
-                fin: r.get()?,
-            }),
-            3 => Ok(DcoMsg::Lookup {
-                key: r.get()?,
-                seq: r.get()?,
-                origin: r.get()?,
-                exclude: r.get()?,
-                ttl: r.get()?,
-                fin: r.get()?,
-            }),
-            4 => Ok(DcoMsg::Provider {
+            2 => Ok(DcoMsg::Provider {
                 seq: r.get()?,
                 provider: r.get()?,
             }),
-            5 => Ok(DcoMsg::ChunkRequest { seq: r.get()? }),
-            6 => Ok(DcoMsg::ChunkData { seq: r.get()? }),
-            7 => Ok(DcoMsg::Busy { seq: r.get()? }),
-            8 => Ok(DcoMsg::NoChunk { seq: r.get()? }),
-            9 => Ok(DcoMsg::IndexHandover { entries: r.get()? }),
-            10 => Ok(DcoMsg::AttachRequest),
-            11 => Ok(DcoMsg::AttachAssign {
+            3 => Ok(DcoMsg::ChunkRequest { seq: r.get()? }),
+            4 => Ok(DcoMsg::ChunkData { seq: r.get()? }),
+            5 => Ok(DcoMsg::Busy { seq: r.get()? }),
+            6 => Ok(DcoMsg::NoChunk { seq: r.get()? }),
+            7 => Ok(DcoMsg::IndexHandover { entries: r.get()? }),
+            8 => Ok(DcoMsg::AttachRequest),
+            9 => Ok(DcoMsg::AttachAssign {
                 coordinator: r.get()?,
             }),
-            12 => Ok(DcoMsg::ClientAttach),
-            13 => Ok(DcoMsg::ClientLookup {
-                seq: r.get()?,
-                exclude: r.get()?,
-            }),
-            14 => Ok(DcoMsg::ClientInsert { index: r.get()? }),
-            15 => Ok(DcoMsg::StableReport {
+            10 => Ok(DcoMsg::ClientAttach),
+            11 => Ok(DcoMsg::StableReport {
                 longevity: r.get()?,
             }),
-            16 => Ok(DcoMsg::Promote),
-            17 => Ok(DcoMsg::CoordinatorAnnounce),
-            18 => Ok(DcoMsg::CoordinatorLost { dead: r.get()? }),
+            12 => Ok(DcoMsg::Promote),
+            13 => Ok(DcoMsg::CoordinatorAnnounce),
+            14 => Ok(DcoMsg::CoordinatorLost { dead: r.get()? }),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -227,26 +222,6 @@ mod tests {
                 token: RouteToken::Finger(9),
                 ttl: 64,
             }),
-            DcoMsg::Insert {
-                key: ChordId(12),
-                index: index(7),
-                ttl: 8,
-                fin: true,
-            },
-            DcoMsg::Deregister {
-                key: ChordId(13),
-                holder: NodeId(2),
-                ttl: 0,
-                fin: false,
-            },
-            DcoMsg::Lookup {
-                key: ChordId(u64::MAX),
-                seq: ChunkSeq(41),
-                origin: NodeId(9),
-                exclude: Some(NodeId(1)),
-                ttl: 5,
-                fin: true,
-            },
             DcoMsg::Provider {
                 seq: ChunkSeq(41),
                 provider: None,
@@ -263,11 +238,6 @@ mod tests {
                 coordinator: NodeId(3),
             },
             DcoMsg::ClientAttach,
-            DcoMsg::ClientLookup {
-                seq: ChunkSeq(77),
-                exclude: None,
-            },
-            DcoMsg::ClientInsert { index: index(9) },
             DcoMsg::StableReport { longevity: 0.875 },
             DcoMsg::Promote,
             DcoMsg::CoordinatorAnnounce,
@@ -275,19 +245,48 @@ mod tests {
         ]
     }
 
+    /// One routed message per operation × hop kind.
+    fn routed_samples() -> Vec<DcoMsg> {
+        let ops = [
+            RoutedOp::Insert { index: index(7) },
+            RoutedOp::Deregister { holder: NodeId(2) },
+            RoutedOp::Lookup {
+                seq: ChunkSeq(41),
+                origin: NodeId(9),
+                exclude: Some(NodeId(1)),
+            },
+            RoutedOp::Lookup {
+                seq: ChunkSeq(42),
+                origin: NodeId(9),
+                exclude: None,
+            },
+        ];
+        let hops = [Hop::Proxy, Hop::Forward(0), Hop::Forward(64), Hop::Final];
+        let keys = [ChordId(12), ChordId(u64::MAX)];
+        let mut out = Vec::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            for hop in hops {
+                let key = keys[i % 2];
+                out.push(DcoMsg::Routed { key, hop, op });
+            }
+        }
+        out
+    }
+
     #[test]
     fn dco_messages_round_trip() {
         let samples = samples();
-        // One sample per variant keeps this list honest as the enum grows.
-        assert_eq!(samples.len(), 19);
-        for msg in samples {
-            round_trip(&msg);
+        // One sample per variant but `Routed` keeps this list honest as the
+        // enum grows.
+        assert_eq!(samples.len(), 14);
+        for msg in samples.iter().chain(&routed_samples()) {
+            round_trip(msg);
         }
     }
 
     #[test]
     fn truncated_dco_messages_are_rejected() {
-        for msg in samples() {
+        for msg in samples().into_iter().chain(routed_samples()) {
             let bytes = encode_to_vec(&msg);
             for cut in 0..bytes.len() {
                 assert!(
@@ -304,5 +303,16 @@ mod tests {
             decode_exact::<DcoMsg>(&[250]),
             Err(WireError::BadTag(250))
         ));
+        // A routed message's tag, key, hop tag and operation tag, in order.
+        let routed = |hop: u8, op: u8| {
+            let mut bytes = vec![1];
+            bytes.extend_from_slice(&[0; 8]);
+            bytes.extend_from_slice(&[hop, op]);
+            bytes.extend_from_slice(&[0; 4]);
+            decode_exact::<DcoMsg>(&bytes)
+        };
+        assert!(routed(0, 1).is_ok(), "a proxied deregister of node 0");
+        assert!(matches!(routed(3, 1), Err(WireError::BadTag(3))));
+        assert!(matches!(routed(0, 3), Err(WireError::BadTag(3))));
     }
 }

@@ -4,7 +4,7 @@
 //! lookup latency under real link delays.
 
 use dco::core::chunk::ChunkSeq;
-use dco::core::proto::{DcoConfig, DcoMsg, DcoProtocol};
+use dco::core::proto::{DcoConfig, DcoMsg, DcoProtocol, Hop, RoutedOp};
 use dco::sim::prelude::*;
 
 /// An `n`-node DCO run on the dynamic ring: the server plus `n - 1`
@@ -123,13 +123,14 @@ fn lookups_resolve_within_latency_budget() {
         t0,
         origin,
         origin,
-        DcoMsg::Lookup {
+        DcoMsg::Routed {
             key: sim.protocol().namer().id_of(seq),
-            seq,
-            origin,
-            exclude: None,
-            ttl: 64,
-            fin: false,
+            hop: Hop::Forward(64),
+            op: RoutedOp::Lookup {
+                seq,
+                origin,
+                exclude: None,
+            },
         },
     );
     // Step in 10 ms slices until the coordinator answers.
