@@ -24,10 +24,9 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let studies = run_studies(&scale);
-    let secs = t0.elapsed().as_secs_f64();
-    // Every table reads the one batch run above, so each reports its time.
+    // Wall time goes to stderr: stdout is the committed, diffed tables.
+    eprintln!("# generated in {:.1}s", t0.elapsed().as_secs_f64());
     for (study, runs) in STUDIES.iter().zip(&studies) {
-        println!("{}", to_table(study, runs));
-        println!("# generated in {secs:.1}s\n");
+        println!("{}\n", to_table(study, runs));
     }
 }

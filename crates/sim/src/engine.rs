@@ -343,32 +343,6 @@ impl<P: Protocol> Ctx<'_, P> {
         self.core.push_timer(at, node, timer);
     }
 
-    /// Schedules `node` to join at absolute time `at`.
-    ///
-    /// Not available in sharded runs: membership there is fixed by the
-    /// pre-run install script so that every worker can replay the whole
-    /// churn schedule (shadow flips keep the global alive set consistent).
-    pub fn schedule_join(&mut self, node: NodeId, at: SimTime) {
-        assert!(
-            self.core.shard.is_none(),
-            "sharded run: runtime membership scheduling is not supported"
-        );
-        let at = at.max(self.core.clock);
-        self.core.queue.push(at, Event::Join { node });
-    }
-
-    /// Schedules `node` to leave at absolute time `at`.
-    ///
-    /// Not available in sharded runs (see [`Ctx::schedule_join`]).
-    pub fn schedule_leave(&mut self, node: NodeId, at: SimTime, graceful: bool) {
-        assert!(
-            self.core.shard.is_none(),
-            "sharded run: runtime membership scheduling is not supported"
-        );
-        let at = at.max(self.core.clock);
-        self.core.queue.push(at, Event::Leave { node, graceful });
-    }
-
     /// True if `node` is currently alive.
     #[inline]
     pub fn is_alive(&self, node: NodeId) -> bool {
