@@ -14,6 +14,7 @@ use dco_dht::chord::{ChordMsg, ChordNet, Outbox, RouteDecision, RouteStep};
 use dco_dht::hash::{hash_name, hash_node};
 use dco_dht::id::{ChordId, Peer};
 use dco_metrics::{RetainedObserver, StreamObserver};
+use dco_sim::engine::runtime_key;
 use dco_sim::net::Kbps;
 use dco_sim::node::NodeId;
 use dco_sim::queue::EventQueue;
@@ -44,6 +45,36 @@ fn bench_event_queue() {
         let base = bucket * BUCKET_US;
         for i in 0..4096u64 {
             q.push(SimTime::from_micros(base + i / 1024 * 50), [i; 10]);
+        }
+        let mut sum = 0u64;
+        while let Some((_, v)) = q.pop() {
+            sum = sum.wrapping_add(v[0]);
+        }
+        sum
+    });
+    // A canonical static N=1k bucket, as one process of a sharded run
+    // pushes it: one instant, 2 700 entries, one per dispatch of 1 000
+    // interleaved pushers, each pusher's dispatch counter ascending. The
+    // dispatches ran at 15 instants, in time order: two of timers armed
+    // one to two seconds earlier, the rest of messages sent 50-100 ms
+    // earlier.
+    let mut q: EventQueue<[u64; 10]> = EventQueue::new();
+    let mut dispatches = vec![0u64; 1000];
+    let mut bucket = 1000u64;
+    bench("event_queue/canonical_bucket_2700", 200, || {
+        bucket += 1;
+        let at = bucket * BUCKET_US + 1000;
+        for d in 0..2700u64 {
+            let push_t = match d / 180 {
+                0 => at - 2_000_000,
+                1 => at - 1_000_000,
+                g => at - 100_000 + g * 3_500,
+            };
+            let pusher = (d * 7919 % 1000) as u32;
+            let pseq = &mut dispatches[pusher as usize];
+            let key = runtime_key(push_t, pusher, *pseq, 0);
+            *pseq += 1;
+            q.push_keyed(SimTime::from_micros(at), key, [d; 10]);
         }
         let mut sum = 0u64;
         while let Some((_, v)) = q.pop() {

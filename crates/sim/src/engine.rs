@@ -148,11 +148,28 @@ pub struct ShardRunStats {
 /// uniqueness is required), and class 0 sorts before class 1 at equal due
 /// time: membership flips scripted before the run dispatch ahead of any
 /// runtime event of the same instant on every worker, which keeps the
-/// global alive set consistent wherever it is read.
-const KEY_RUNTIME_CLASS: u128 = 1 << 127;
-const KEY_T_SHIFT: u32 = 81;
-const KEY_NODE_SHIFT: u32 = 57;
+/// global alive set consistent wherever it is read. A node pushes its
+/// runtime keys in ascending `(counter, index)` order, which the calendar's
+/// linear ordering pass relies on (see `queue`, "Ordering").
+pub(crate) const KEY_RUNTIME_CLASS: u128 = 1 << 127;
+pub(crate) const KEY_T_SHIFT: u32 = 81;
+pub(crate) const KEY_NODE_SHIFT: u32 = 57;
 const KEY_PSEQ_SHIFT: u32 = 24;
+
+/// The runtime key of push `i` of dispatch `pseq` of node `pusher`, which
+/// ran at `push_t` µs (layout above).
+#[inline]
+pub fn runtime_key(push_t: u64, pusher: u32, pseq: u64, i: u32) -> u128 {
+    debug_assert!(push_t < 1 << 46, "clock beyond stamp range");
+    debug_assert!(pusher < 1 << 24, "node beyond stamp range");
+    debug_assert!(pseq < 1 << 33, "dispatch count beyond stamp range");
+    debug_assert!(i < 1 << 24, "push fan-out beyond stamp range");
+    KEY_RUNTIME_CLASS
+        | (push_t as u128) << KEY_T_SHIFT
+        | (pusher as u128) << KEY_NODE_SHIFT
+        | (pseq as u128) << KEY_PSEQ_SHIFT
+        | i as u128
+}
 
 /// Salt for the order-independent per-shard event digest (distinct from the
 /// chain digest so the two spaces cannot be confused).
@@ -194,14 +211,7 @@ impl<M> Shard<M> {
     fn next_runtime_key(&mut self) -> u128 {
         let i = self.cur_i;
         self.cur_i += 1;
-        debug_assert!(self.cur_push_t < 1 << 46, "clock beyond stamp range");
-        debug_assert!(i < 1 << 24, "push fan-out beyond stamp range");
-        debug_assert!(self.cur_pseq < 1 << 33, "dispatch count beyond stamp range");
-        KEY_RUNTIME_CLASS
-            | (self.cur_push_t as u128) << KEY_T_SHIFT
-            | (self.cur_pusher as u128) << KEY_NODE_SHIFT
-            | (self.cur_pseq as u128) << KEY_PSEQ_SHIFT
-            | i as u128
+        runtime_key(self.cur_push_t, self.cur_pusher, self.cur_pseq, i)
     }
 
     #[inline]
@@ -596,7 +606,8 @@ impl<P: Protocol> Simulator<P> {
     /// `run_before(window_end)` then exchanges cross-shard batches: with
     /// lookahead `L`, a message sent inside `[T, T+L)` arrives at or after
     /// `T+L`, so injecting at the barrier can never land in a window that
-    /// already ran.
+    /// already ran. The closing peek orders nothing, so the injected
+    /// messages join the next bucket before its first pop orders it.
     pub fn run_before(&mut self, t: SimTime) {
         while let Some(next) = self.core.queue.peek_time() {
             if next >= t {

@@ -6,10 +6,19 @@
 //! buckets of `2^BUCKET_SHIFT` µs:
 //!
 //! * **`run`** — the *active region*: every pending event whose bucket is
-//!   at or before the cursor, as one vector sorted latest-first, so a pop
-//!   is a `Vec::pop` — no sift. Events pushed into the active bucket
-//!   after its run was sorted go to **`late`**, a side heap that holds only
-//!   those; a pop takes the earlier of the two fronts.
+//!   at or before the cursor. It is put in pop order, latest first so that
+//!   a pop is a `Vec::pop`, once, at the bucket's first pop (see
+//!   "Ordering"). Until then a push into the active bucket just joins
+//!   `run`, and [`EventQueue::peek_time`] answers with a min-scan. So a
+//!   sharded worker's barrier injects, pushed after its epoch's closing
+//!   peek, join the next bucket before it is ordered.
+//! * **`late`** — a side heap for the few events pushed into the active
+//!   bucket after it was ordered (a handler scheduling inside the current
+//!   bucket). Such pushes wait at the end of `run` until the next pop. If
+//!   they are few against the ordered rest, that pop moves them to `late`;
+//!   if they are many (a barrier batch landing in a bucket its epoch ended
+//!   inside), it orders `run` again. A pop takes the earlier of the run's
+//!   and the heap's fronts.
 //! * **ring** — the near future: a power-of-two ring of unsorted buckets
 //!   covering the `RING_BUCKETS - 1` buckets after the cursor, with a
 //!   word-level occupancy bitmap so advancing the cursor skips empty
@@ -38,24 +47,50 @@
 //! — and whole runs deterministic for a fixed seed.
 //!
 //! **The drain.** Reaching a bucket walks its block chain newest block
-//! first and appends each block's entries reversed, which lays the bucket
-//! out latest-first whenever it was pushed in `(time, key)` order — the
-//! common case in FIFO mode, where an instant's events are pushed in
-//! sequence order and the bucket's instants mostly in time order. One
-//! `sort_unstable` then finishes the run: on presorted input its run
-//! detection makes that a single O(n) pass, and on any other input
-//! (canonical keys, churn's scattered instants, overflow entries) it is a
-//! full sort. Because keys are unique, the sort's instability and the
-//! bucket's layout cannot change the pop order; the golden trace digests
-//! in `tests/determinism.rs` pin that.
+//! first and appends each block's entries reversed, then appends the
+//! bucket's overflow entries newest first (they were pushed before any of
+//! its ring entries, while the bucket was past the window). So `run` holds
+//! the bucket in exact reverse push order, and pushes that join it later
+//! follow in push order. Reverse push order is already latest-first when
+//! the bucket was pushed in `(time, key)` order — the common case in FIFO
+//! mode, where an instant's events are pushed in sequence order and the
+//! bucket's instants mostly in time order.
+//!
+//! **Ordering.** One routine puts `run` in pop order, chosen by what the
+//! bucket holds and never by mode:
+//!
+//! 1. a run already latest-first is left as it is: one pass of
+//!    comparisons confirms it;
+//! 2. a run shorter than `SHORT_RUN` entries is sorted by comparison,
+//!    which beats the radix pass's fixed costs there;
+//! 3. otherwise a stable LSD radix sort orders entry *positions* by
+//!    `(time, class, push time, pusher)`, ties broken by push order, and
+//!    one in-place permutation moves the entries. Push order breaks those
+//!    ties exactly as the key does: a FIFO key is its push position, an
+//!    install key its script position, and a runtime key's low bits are
+//!    the pusher's dispatch counter and push index, which each node
+//!    pushes in ascending order. Each field takes only the bits its range
+//!    within the run needs, and a push time enters as its rank among the
+//!    run's few distinct push times, so a canonical static N=1k bucket
+//!    (one instant, about 2 700 entries) needs two byte-wide passes. The
+//!    result is checked to be strictly latest-first;
+//! 4. when that check fails, or the radix key does not fit 64 bits,
+//!    `sort_unstable` orders the run instead: an unexpected shape costs
+//!    time, never order.
+//!
+//! The radix scratch buffers are kept between buckets. Because keys are
+//! unique, neither the radix ties nor the sort's instability can change
+//! the pop order; the golden trace digests in `tests/determinism.rs` pin
+//! that.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::engine::{KEY_NODE_SHIFT, KEY_RUNTIME_CLASS, KEY_T_SHIFT};
 use crate::time::SimTime;
 
 /// log2 of the bucket width in microseconds (8.192 ms buckets): wide enough
-/// that a bucket amortizes its sort, narrow enough that the active run
+/// that a bucket amortizes its ordering, narrow enough that the active run
 /// stays small.
 const BUCKET_SHIFT: u32 = 13;
 
@@ -75,6 +110,19 @@ const BLOCK: usize = 64;
 /// End-of-chain marker for block links and slot heads.
 const NIL: u32 = u32::MAX;
 
+/// Pushes into an ordered bucket go to the side heap while they number
+/// less than `1 / LATE_SHARE` of the ordered rest; more are ordered
+/// together with it. Ordering again costs O(rest), so this bounds it to
+/// `LATE_SHARE + 1` entries per pushed one, while a handler's one or two
+/// pushes go to the heap. Barrier batches landing in a bucket an epoch
+/// ended inside are 1/8 to 1/13 of its rest in canonical churn, K=2.
+const LATE_SHARE: usize = 32;
+
+/// Runs shorter than this are sorted by comparison: there `sort_unstable`
+/// beats the radix pass's fixed costs. FIFO churn buckets at N=100
+/// average about 50 entries; static buckets at N=1k hold thousands.
+const SHORT_RUN: usize = 64;
+
 /// An entry in the calendar: a payload due at `at`, tie-broken by the
 /// 128-bit key `(key_hi, key_lo)`.
 ///
@@ -90,6 +138,20 @@ struct Scheduled<E> {
     key_hi: u64,
     key_lo: u64,
     payload: E,
+}
+
+impl<E> Scheduled<E> {
+    /// `(push time, pusher)` of a runtime-class key; `None` for an install
+    /// key or a FIFO sequence number, whose push order is its key order.
+    #[inline]
+    fn stamp(&self) -> Option<(u64, u64)> {
+        let key = u128::from(self.key_hi) << 64 | u128::from(self.key_lo);
+        (key & KEY_RUNTIME_CLASS != 0).then(|| {
+            let t = (key & !KEY_RUNTIME_CLASS) >> KEY_T_SHIFT;
+            let node = (key >> KEY_NODE_SHIFT) & ((1 << (KEY_T_SHIFT - KEY_NODE_SHIFT)) - 1);
+            (t as u64, node as u64)
+        })
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -118,6 +180,17 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// True if `run` is strictly latest-first, i.e. in pop order.
+fn in_pop_order<E>(run: &[Scheduled<E>]) -> bool {
+    run.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The number of bits needed to write `x`.
+#[inline]
+fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
 /// One arena block: up to `BLOCK` unsorted entries of a ring slot, linked
 /// to the slot's next (older) block, or to the next free block.
 struct Block<E> {
@@ -131,17 +204,178 @@ fn bucket_of(at: SimTime) -> u64 {
     at.as_micros() >> BUCKET_SHIFT
 }
 
+/// How the queue put its active entries in order (diagnostic). An entry
+/// counts once per ordering it takes part in.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OrderStats {
+    /// Entries ordered in O(n): found in order, or by the radix pass.
+    pub linear: u64,
+    /// Entries of runs too short for the radix pass, sorted by comparison.
+    pub short: u64,
+    /// Entries the radix pass could not order, sorted by comparison.
+    pub fallback: u64,
+    /// Entries pushed into an ordered bucket that went to the side heap.
+    pub late: u64,
+}
+
+/// Scratch buffers of the radix pass, kept between buckets.
+#[derive(Default)]
+struct Radix {
+    keys: Vec<u64>,
+    tmp: Vec<u64>,
+    counts: Vec<u32>,
+    /// The distinct push times of the run's runtime entries, ascending.
+    times: Vec<u64>,
+}
+
+impl Radix {
+    /// Puts `run` in pop order, given that `run[..rev]` is in reverse push
+    /// order and `run[rev..]` in push order. Orders by `(time, class, push
+    /// time, pusher)` and breaks ties by push order, which is the exact
+    /// `(time, key)` order only for the bucket shapes the module doc
+    /// describes: the caller checks. Returns `false`, leaving `run` as it
+    /// was, when that key does not fit 64 bits beside the position.
+    fn order<E>(&mut self, run: &mut [Scheduled<E>], rev: usize) -> bool {
+        let n = run.len();
+        let in_push_order = || (0..rev).rev().chain(rev..n);
+        // Field ranges. A push time enters the key as its rank among the
+        // run's distinct push times, which are few (the instants their
+        // dispatches ran at). Push order lists them ascending when one
+        // process pushed the whole run; barrier injects need one sort of
+        // the distinct values.
+        let (mut at_lo, mut at_hi) = (u64::MAX, 0);
+        let (mut p_lo, mut p_hi) = (u64::MAX, 0);
+        let mut install = false;
+        self.times.clear();
+        for pos in in_push_order() {
+            let s = &run[pos];
+            let at = s.at.as_micros();
+            at_lo = at_lo.min(at);
+            at_hi = at_hi.max(at);
+            match s.stamp() {
+                None => install = true,
+                Some((t, p)) => {
+                    if self.times.last() != Some(&t) {
+                        self.times.push(t);
+                    }
+                    p_lo = p_lo.min(p);
+                    p_hi = p_hi.max(p);
+                }
+            }
+        }
+        if !self.times.windows(2).all(|w| w[0] < w[1]) {
+            self.times.sort_unstable();
+            self.times.dedup();
+        }
+        let runtime = !self.times.is_empty();
+        // Field widths: a class bit only when both classes are present.
+        let wc = u32::from(install && runtime);
+        let (wt, wp) = if runtime {
+            (bits(self.times.len() as u64 - 1), bits(p_hi - p_lo))
+        } else {
+            (0, 0)
+        };
+        let wkey = bits(at_hi - at_lo) + wc + wt + wp;
+        let wpos = bits(n as u64 - 1);
+        if wkey + wpos > u64::BITS {
+            return false;
+        }
+        // Keys in push order, so the stable passes break ties by it.
+        self.keys.clear();
+        let mut rank = (u64::MAX, 0);
+        for pos in in_push_order() {
+            let s = &run[pos];
+            let at = s.at.as_micros() - at_lo;
+            let key = match s.stamp() {
+                None => at << (wc + wt + wp),
+                Some((t, p)) => {
+                    if rank.0 != t {
+                        rank = (t, self.times.binary_search(&t).expect("listed") as u64);
+                    }
+                    (((at << wc | u64::from(wc)) << wt | rank.1) << wp) | (p - p_lo)
+                }
+            };
+            self.keys.push(key << wpos | pos as u64);
+        }
+        // LSD passes over `wkey` bits in digits of equal width, at most
+        // 11 bits and fewer for a short run, so the counters stay small.
+        let passes = wkey.div_ceil(bits(n as u64).clamp(4, 11));
+        let width = if passes == 0 {
+            0
+        } else {
+            wkey.div_ceil(passes)
+        };
+        let radix = 1usize << width;
+        let digit = |k: u64, pass: u32| (k >> (wpos + width * pass)) as usize & (radix - 1);
+        self.counts.clear();
+        self.counts.resize((passes as usize) << width, 0);
+        for &k in &self.keys {
+            for (pass, c) in self.counts.chunks_exact_mut(radix).enumerate() {
+                c[digit(k, pass as u32)] += 1;
+            }
+        }
+        self.tmp.resize(n, 0);
+        for (pass, c) in self.counts.chunks_exact_mut(radix).enumerate() {
+            let pass = pass as u32;
+            if c[digit(self.keys[0], pass)] as usize == n {
+                continue; // one digit value: the pass moves nothing
+            }
+            let mut sum = 0;
+            for c in c.iter_mut() {
+                (*c, sum) = (sum, sum + *c);
+            }
+            for &k in &self.keys {
+                let d = &mut c[digit(k, pass)];
+                self.tmp[*d as usize] = k;
+                *d += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.tmp);
+        }
+        // `keys` ascends; pop order wants the earliest last. `src[j]` is
+        // the position whose entry belongs at `j`.
+        let src = &mut self.tmp;
+        src.clear();
+        src.extend(self.keys.iter().rev().map(|k| k & ((1 << wpos) - 1)));
+        permute(run, src);
+        true
+    }
+}
+
+/// Moves `run[src[j]]` to `j` for every `j` by following the permutation's
+/// cycles with swaps; leaves `src` as the identity.
+fn permute<T>(run: &mut [T], src: &mut [u64]) {
+    for start in 0..run.len() {
+        let mut j = start;
+        loop {
+            let s = src[j] as usize;
+            src[j] = j as u64;
+            if s == start {
+                break;
+            }
+            run.swap(j, s);
+            j = s;
+        }
+    }
+}
+
 /// A stable min-priority queue of future events.
 pub struct EventQueue<E> {
     /// Active region: every pending event with `bucket <= cursor` that is
-    /// not in `late`, latest first once `sorted`, so `run.pop()` is the
-    /// earliest.
+    /// not in `late`. `run[..rev]` is in reverse push order and, once
+    /// `ordered`, also in pop order (latest first, so `run.pop()` is the
+    /// earliest); `run[rev..]` holds later pushes in push order.
     run: Vec<Scheduled<E>>,
-    /// Whether `run` is in order. Pushes join `run` while it is unsorted
-    /// or empty; the next pop or peek sorts it.
-    sorted: bool,
-    /// Active-region events pushed after `run` was sorted.
+    rev: usize,
+    /// Whether `run[..rev]` is in pop order. Cleared when a bucket is
+    /// drained into `run`, set by its first pop.
+    ordered: bool,
+    /// The earliest time among the entries not in pop order: `run[rev..]`,
+    /// or all of `run` before its first ordering.
+    pending_at: Option<SimTime>,
+    /// Events pushed into the ordered active bucket, when few.
     late: BinaryHeap<Scheduled<E>>,
+    radix: Radix,
+    stats: OrderStats,
     /// Near future: bucket `b` with `cursor < b < cursor + RING_BUCKETS`
     /// lives (unsorted) in the block chain headed at slot
     /// `b % RING_BUCKETS`; `NIL` marks an empty slot. The head block is
@@ -177,8 +411,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             run: Vec::new(),
-            sorted: true,
+            rev: 0,
+            ordered: true,
+            pending_at: None,
             late: BinaryHeap::new(),
+            radix: Radix::default(),
+            stats: OrderStats::default(),
             heads: [NIL; RING_BUCKETS],
             blocks: Vec::with_capacity(RING_BUCKETS),
             free: NIL,
@@ -209,8 +447,8 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `at` with an explicit 128-bit tie-break key.
     ///
     /// Equal-time events fire in ascending key order. Keys at one instant
-    /// **must be distinct** — neither the run's sort nor the side heap is
-    /// stable, so two entries with equal `(at, key)` pop in unspecified
+    /// **must be distinct** — neither the run's ordering nor the side heap
+    /// is stable, so two entries with equal `(at, key)` pop in unspecified
     /// order. The plain [`EventQueue::push`] is exactly `push_keyed` with
     /// the monotone insertion counter as the key.
     pub fn push_keyed(&mut self, at: SimTime, key: u128, payload: E) {
@@ -224,12 +462,8 @@ impl<E> EventQueue<E> {
             payload,
         };
         if b <= self.cursor {
-            if self.sorted && !self.run.is_empty() {
-                self.late.push(entry);
-            } else {
-                self.run.push(entry);
-                self.sorted = false;
-            }
+            self.pending_at = Some(self.pending_at.map_or(at, |p| p.min(at)));
+            self.run.push(entry);
         } else if b - self.cursor < RING_BUCKETS as u64 {
             let slot = (b % RING_BUCKETS as u64) as usize;
             self.ring_push(slot, entry);
@@ -281,26 +515,33 @@ impl<E> EventQueue<E> {
 
     /// Moves every event of ring slot `slot` into the (empty) active run
     /// and returns the slot's blocks to the free list. Newest block first,
-    /// each reversed: the run comes out latest-first when the bucket was
-    /// pushed in order, and `settle` sorts it either way.
-    fn drain_slot(&mut self, slot: usize) {
+    /// each reversed: the run comes out in reverse push order. Returns the
+    /// earliest time moved.
+    fn drain_slot(&mut self, slot: usize) -> SimTime {
         debug_assert!(self.run.is_empty() && self.late.is_empty());
         self.occupied[slot / 64] &= !(1 << (slot % 64));
+        let mut first = SimTime::MAX;
         let mut i = std::mem::replace(&mut self.heads[slot], NIL);
         while i != NIL {
             let block = &mut self.blocks[i as usize];
             self.ring_len -= block.entries.len();
-            self.run.extend(block.entries.drain(..).rev());
+            self.run.extend(
+                block
+                    .entries
+                    .drain(..)
+                    .rev()
+                    .inspect(|s| first = first.min(s.at)),
+            );
             let next = block.next;
             block.next = self.free;
             self.free = i;
             i = next;
         }
+        first
     }
 
-    /// Moves the earliest pending bucket into `run` until the active
-    /// region is non-empty (or the queue is drained), then sorts `run` if
-    /// it is not in order.
+    /// Moves the earliest pending bucket into `run`, unordered, until the
+    /// active region is non-empty (or the queue is drained).
     fn settle(&mut self) {
         while self.run.is_empty() && self.late.is_empty() {
             let b_ring = if self.ring_len > 0 {
@@ -315,10 +556,15 @@ impl<E> EventQueue<E> {
                 (None, Some(o)) => o,
                 (None, None) => return,
             };
+            let mut first = SimTime::MAX;
             if b_ring == Some(b) {
-                self.drain_slot((b % RING_BUCKETS as u64) as usize);
+                first = self.drain_slot((b % RING_BUCKETS as u64) as usize);
             }
             if b_ovf == Some(b) {
+                // The heap yields them earliest first; reverse push order
+                // wants the earliest pushed last.
+                first = first.min(self.overflow.peek().expect("bucket b").at);
+                let start = self.run.len();
                 while let Some(s) = self.overflow.peek() {
                     if bucket_of(s.at) != b {
                         break;
@@ -326,14 +572,48 @@ impl<E> EventQueue<E> {
                     let s = self.overflow.pop().expect("peeked");
                     self.run.push(s);
                 }
+                self.run[start..].reverse();
             }
             self.cursor = b;
-            self.sorted = false;
+            self.rev = self.run.len();
+            self.ordered = false;
+            self.pending_at = Some(first);
         }
-        if !self.sorted {
+    }
+
+    /// Puts the active region in pop order. A bucket not yet ordered is
+    /// ordered whole. In an ordered one, the pushes since the last pop go
+    /// to the side heap when they are few against the ordered rest, and
+    /// are ordered together with it otherwise.
+    #[inline]
+    fn order(&mut self) {
+        if !self.ordered || self.run.len() > self.rev {
+            self.reorder();
+        }
+    }
+
+    /// [`EventQueue::order`]'s work, when there is some.
+    fn reorder(&mut self) {
+        let n = self.run.len();
+        self.pending_at = None;
+        if self.ordered && (n - self.rev) * LATE_SHARE < self.rev {
+            self.stats.late += (n - self.rev) as u64;
+            self.late.extend(self.run.drain(self.rev..));
+            return;
+        }
+        if in_pop_order(&self.run) {
+            self.stats.linear += n as u64;
+        } else if n < SHORT_RUN {
             self.run.sort_unstable();
-            self.sorted = true;
+            self.stats.short += n as u64;
+        } else if self.radix.order(&mut self.run, self.rev) && in_pop_order(&self.run) {
+            self.stats.linear += n as u64;
+        } else {
+            self.run.sort_unstable();
+            self.stats.fallback += n as u64;
         }
+        self.rev = n;
+        self.ordered = true;
     }
 
     /// The earlier of the run's and the side heap's fronts: `true` for the
@@ -393,12 +673,15 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Removes and returns the earliest event, if any.
+    /// Removes and returns the earliest event, if any. Orders the active
+    /// bucket first if pushes reached it since it was last ordered.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
+        self.order();
         let s = if self.late_first() {
             self.late.pop()
         } else {
+            self.rev -= 1;
             self.run.pop()
         }?;
         self.len -= 1;
@@ -408,15 +691,26 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest event, if any.
     ///
     /// Takes `&mut self` because peeking may advance the calendar's cursor
-    /// to the next occupied bucket (pure queue bookkeeping — the observable
-    /// event order is unchanged).
+    /// to the next occupied bucket and drain it into the active region
+    /// (pure queue bookkeeping — the observable event order is unchanged).
+    /// It orders nothing: the earliest time among the entries not yet in
+    /// pop order is kept as they arrive (a min-scan folded into the drain
+    /// and the pushes), so pushes after a peek still join the bucket
+    /// before its first pop orders it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        if self.late_first() {
-            self.late.peek().map(|s| s.at)
-        } else {
-            self.run.last().map(|s| s.at)
+        if self.ordered && self.pending_at.is_none() && self.late.is_empty() {
+            return self.run.last().map(|s| s.at);
         }
+        let front = self.run[..self.rev].last().filter(|_| self.ordered);
+        [
+            front.map(|s| s.at),
+            self.pending_at,
+            self.late.peek().map(|s| s.at),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Number of pending events.
@@ -433,11 +727,17 @@ impl<E> EventQueue<E> {
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
+
+    /// How the active entries have been ordered so far (diagnostic).
+    pub fn order_stats(&self) -> OrderStats {
+        self.stats
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::runtime_key;
 
     #[test]
     fn pops_in_time_order() {
@@ -663,8 +963,10 @@ mod tests {
     }
 
     /// A FIFO bucket pushed in time order over several blocks, with ties
-    /// at each instant, drains already latest-first: the sort that follows
-    /// only confirms the order, it does not move an entry.
+    /// at each instant, drains already latest-first, and its first pop
+    /// only confirms the order: no entry moves and nothing is sorted by
+    /// comparison. One pushed out of time order is ordered by the radix
+    /// pass, again without a comparison sort.
     #[test]
     fn fifo_drain_lays_the_bucket_out_latest_first() {
         let bucket_us = 1u64 << BUCKET_SHIFT;
@@ -675,9 +977,115 @@ mod tests {
         }
         q.drain_slot(2);
         assert_eq!(q.run.len(), n as usize);
-        assert!(
-            q.run.windows(2).all(|w| w[0] <= w[1]),
-            "drained run is not latest-first"
+        assert!(in_pop_order(&q.run), "drained run is not latest-first");
+        let drained: Vec<u64> = q.run.iter().map(|s| s.payload).collect();
+        q.rev = q.run.len();
+        q.ordered = false;
+        q.order();
+        let ordered: Vec<u64> = q.run.iter().map(|s| s.payload).collect();
+        assert_eq!(drained, ordered, "ordering moved an entry");
+        assert_eq!(
+            q.order_stats(),
+            OrderStats {
+                linear: n,
+                ..OrderStats::default()
+            }
         );
+
+        // Instants pushed against time order: the drain is not in order,
+        // the radix pass orders it.
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.push(SimTime::from_micros(3 * bucket_us + (n - i) % 7 * 100), i);
+        }
+        let mut last = (SimTime::ZERO, 0);
+        while let Some(got) = q.pop() {
+            assert!(got.0 > last.0 || got.0 == last.0 && got.1 > last.1);
+            last = got;
+        }
+        assert_eq!(
+            q.order_stats(),
+            OrderStats {
+                linear: n,
+                ..OrderStats::default()
+            }
+        );
+    }
+
+    /// Fills bucket `b` with one event per dispatch of `dispatches`
+    /// pushers at the instants `at`, interleaved, each pusher's counter
+    /// ascending, as one shard's canonical run pushes them.
+    fn canonical_burst(q: &mut EventQueue<u128>, at: &[u64], dispatches: u64, first_pseq: u64) {
+        for d in 0..dispatches {
+            let pusher = d * 7919 % 101;
+            let key = runtime_key(1000 + d / 3, pusher as u32, first_pseq + d, 0);
+            q.push_keyed(SimTime::from_micros(at[d as usize % at.len()]), key, key);
+        }
+    }
+
+    /// Pops everything left, asserting the exact `(time, key)` order.
+    fn drain_in_order(q: &mut EventQueue<u128>) -> usize {
+        let mut last: Option<(SimTime, u128)> = None;
+        let mut popped = 0;
+        while let Some(got) = q.pop() {
+            assert!(last < Some(got), "{last:?} then {got:?}");
+            last = Some(got);
+            popped += 1;
+        }
+        popped
+    }
+
+    /// The sharded worker's barrier, at a bucket boundary: pop until
+    /// `peek_time() >= end`, inject a batch into the bucket that peek
+    /// found, then drain. The batch joins the bucket before it is
+    /// ordered: the side heap stays empty and keeps no capacity.
+    #[test]
+    fn barrier_batch_joins_the_next_bucket_before_it_is_ordered() {
+        let bucket_us = 1u64 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        canonical_burst(&mut q, &[3 * bucket_us], 600, 0);
+        canonical_burst(&mut q, &[5 * bucket_us + 10], 900, 10_000);
+        let end = SimTime::from_micros(4 * bucket_us);
+        let mut popped = 0;
+        while q.peek_time().is_some_and(|t| t < end) {
+            q.pop();
+            popped += 1;
+        }
+        assert_eq!(popped, 600);
+        assert!(!q.ordered, "the closing peek ordered the next bucket");
+        for d in 0..700 {
+            let key = runtime_key(1000 + d, 200 + d as u32 % 13, d, 0);
+            q.push_keyed(SimTime::from_micros(5 * bucket_us + 10), key, key);
+        }
+        assert_eq!(drain_in_order(&mut q), 1600);
+        assert_eq!(q.order_stats().late, 0);
+        assert!(q.late.is_empty() && q.late.capacity() == 0);
+        assert_eq!(q.order_stats().fallback, 0, "a canonical bucket fell back");
+    }
+
+    /// The barrier inside a bucket: an epoch ends between two of its
+    /// instants, so the bucket is ordered and partly popped when the batch
+    /// arrives. A batch that large is ordered with the rest of the bucket,
+    /// not pushed one by one through the side heap.
+    #[test]
+    fn barrier_batch_inside_an_ordered_bucket_skips_the_side_heap() {
+        let bucket_us = 1u64 << BUCKET_SHIFT;
+        let base = 3 * bucket_us;
+        let mut q = EventQueue::new();
+        let at = [base + 100, base + 2000, base + 5000];
+        canonical_burst(&mut q, &at, 900, 0);
+        let end = SimTime::from_micros(base + 1000);
+        while q.peek_time().is_some_and(|t| t < end) {
+            q.pop();
+        }
+        assert!(q.ordered, "the bucket was popped, so it is ordered");
+        for d in 0..300 {
+            let key = runtime_key(900 + d, 300 + d as u32 % 17, d, 0);
+            q.push_keyed(SimTime::from_micros(at[1 + d as usize % 2]), key, key);
+        }
+        assert_eq!(drain_in_order(&mut q), 600 + 300);
+        assert_eq!(q.order_stats().late, 0);
+        assert!(q.late.is_empty() && q.late.capacity() == 0);
+        assert_eq!(q.order_stats().fallback, 0, "a canonical bucket fell back");
     }
 }

@@ -1,9 +1,9 @@
 //! Allocation guard for the calendar queue, counted by the allocator.
 //!
-//! The queue keeps every buffer it grows: the active run, the side heap
-//! and the ring's arena blocks. So once they have grown to a run's
-//! largest bucket, more buckets of the same shape cost no allocations;
-//! `peak_live_mib` in the benchmark rests on that.
+//! The queue keeps every buffer it grows: the active run, the side heap,
+//! the ordering pass's scratch and the ring's arena blocks. So once they
+//! have grown to a run's largest bucket, more buckets of the same shape
+//! cost no allocations; `peak_live_mib` in the benchmark rests on that.
 
 use dco_sim::counters::perf::{AllocStats, CountingAlloc};
 use dco_sim::queue::EventQueue;
@@ -24,7 +24,7 @@ type Payload = [u64; 10];
 
 /// One bucket's burst: `BURST` events pushed into bucket `b` (ahead of the
 /// cursor, so into the ring), then drained; every 16th pop pushes one more
-/// event into the active bucket, after its run was sorted.
+/// event into the active bucket, after it was ordered.
 fn burst(q: &mut EventQueue<Payload>, b: u64) -> u64 {
     let base = b * BUCKET_US;
     for i in 0..BURST {

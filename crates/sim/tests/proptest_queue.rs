@@ -9,7 +9,8 @@
 //! blocks). Driven by the in-tree `dco-testkit` (deterministic seeds,
 //! `DCO_TESTKIT_REPLAY` to reproduce a failure).
 
-use dco_sim::queue::EventQueue;
+use dco_sim::engine::runtime_key;
+use dco_sim::queue::{EventQueue, OrderStats};
 use dco_sim::time::SimTime;
 use dco_testkit::{check, tk_assert, tk_assert_eq, Gen};
 
@@ -303,6 +304,212 @@ fn keyed_pushes_pop_by_time_then_key_across_run_side_heap_ring_and_overflow() {
                 }
             }
             tk_assert_eq!(q.pop(), None, "fully drained");
+            Ok(())
+        },
+    );
+}
+
+/// Pushes shaped like one process of a sharded canonical run: every key
+/// is an install key (the script's next position) or a runtime key whose
+/// pusher's dispatch counter only grows.
+struct Canonical {
+    dispatches: Vec<u64>,
+    /// Pushers below `split` are this shard's, the rest another shard's.
+    split: usize,
+    next_install: u128,
+}
+
+impl Canonical {
+    fn new(g: &mut Gen) -> Canonical {
+        let nodes = g.usize_in(2, 400);
+        Canonical {
+            dispatches: vec![0; nodes],
+            split: g.usize_in(1, nodes),
+            next_install: 0,
+        }
+    }
+
+    /// A pusher of this shard.
+    fn local(&self, g: &mut Gen) -> usize {
+        g.usize_in(0, self.split)
+    }
+
+    /// One dispatch of `pusher` at `push_t` µs: `fanout` pushes, each at
+    /// an instant picked from `at`. `reversed` pushes the fan-out in
+    /// descending push index, the order no engine produces and the linear
+    /// pass must reject.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch(
+        &mut self,
+        q: &mut EventQueue<u64>,
+        model: &mut Model,
+        g: &mut Gen,
+        push_t: u64,
+        pusher: usize,
+        fanout: u32,
+        at: &[u64],
+        reversed: bool,
+    ) {
+        let pseq = self.dispatches[pusher];
+        self.dispatches[pusher] += 1;
+        for i in 0..fanout {
+            let i = if reversed { fanout - 1 - i } else { i };
+            let t = *g.pick(at);
+            let key = runtime_key(push_t, pusher as u32, pseq, i);
+            q.push_keyed(SimTime::from_micros(t), key, model.push_keyed(t, key));
+        }
+    }
+
+    fn install(&mut self, q: &mut EventQueue<u64>, model: &mut Model, t: u64) {
+        let key = self.next_install;
+        self.next_install += 1;
+        q.push_keyed(SimTime::from_micros(t), key, model.push_keyed(t, key));
+    }
+
+    /// A barrier batch: messages the other shard's pushers sent up to
+    /// 50 ms before `now`, one per dispatch, arriving at `at`.
+    fn batch(
+        &mut self,
+        q: &mut EventQueue<u64>,
+        model: &mut Model,
+        g: &mut Gen,
+        now: u64,
+        at: &[u64],
+    ) {
+        let sent = now.saturating_sub(g.u64_in(0, 50_000));
+        for k in 0..g.usize_in(0, 200) {
+            let pusher = g.usize_in(self.split, self.dispatches.len());
+            self.dispatch(q, model, g, sent + k as u64 / 8, pusher, 1, at, false);
+        }
+    }
+}
+
+/// Canonical-shaped buckets against the reference sort. Each round fills
+/// a bucket ahead of the cursor (one instant or several, install and
+/// runtime keys, pushers interleaved), pops up to it, peeks, pushes a
+/// barrier batch from another shard's pushers (earlier push times) into
+/// it, then pops it with handler pushes into the active bucket and a
+/// second batch after a peek in the middle. With `reversed`, one dispatch
+/// of the fill pushes its fan-out backwards. Returns the order stats.
+fn canonical_rounds(g: &mut Gen, reversed: bool) -> Result<OrderStats, String> {
+    let mut canon = Canonical::new(g);
+    let mut q = EventQueue::new();
+    let mut model = Model::new();
+    let mut now = g.u64_in(0, 50) * BUCKET_US;
+    for round in 0..g.usize_in(1, 5) {
+        // Past the ring window, the fill goes through the overflow heap,
+        // which pops it in key order: a reversed fan-out must go to the
+        // ring to reach the linear pass as pushed.
+        let misorder = reversed && round == 0;
+        let ahead = if g.weighted_bool(0.2) && !misorder {
+            g.u64_in(512, 700)
+        } else {
+            g.u64_in(1, 4)
+        };
+        let b = now / BUCKET_US + ahead;
+        let at: Vec<u64> = (0..g.usize_in(1, 5))
+            .map(|_| b * BUCKET_US + g.u64_in(0, BUCKET_US))
+            .collect();
+        let mut push_t = now;
+        // At least `SHORT_RUN` (64) entries, so the bucket's first
+        // ordering takes the radix pass rather than the short-run sort.
+        for d in 0..g.usize_in(64, 300) {
+            push_t += g.u64_in(0, 3);
+            if g.weighted_bool(0.1) {
+                canon.install(&mut q, &mut model, *g.pick(&at));
+            } else {
+                let pusher = canon.local(g);
+                let fanout = g.u64_in(1, 4) as u32;
+                canon.dispatch(&mut q, &mut model, g, push_t, pusher, fanout, &at, false);
+            }
+            if misorder && d == 0 {
+                let only = [at[0]];
+                canon.dispatch(&mut q, &mut model, g, push_t, 0, 3, &only, true);
+            }
+        }
+        // Up to the bucket: everything earlier pops, then the closing peek.
+        let in_bucket = |m: &Model| m.pending.iter().any(|&(t, ..)| t / BUCKET_US == b);
+        let first = model
+            .pending
+            .iter()
+            .map(|&(t, ..)| t)
+            .filter(|t| t / BUCKET_US == b)
+            .min()
+            .expect("the fill pushed");
+        while model.pending.iter().any(|&(t, ..)| t < first) {
+            now = pop_both(&mut q, &mut model)?;
+        }
+        let peeked = q.peek_time().map(SimTime::as_micros);
+        tk_assert_eq!(peeked, Some(first), "closing peek");
+        canon.batch(&mut q, &mut model, g, now, &at);
+        // The bucket, with handler pushes at or after each popped instant
+        // and, once, a peek and a batch part-way through.
+        let mid = g.usize_in(0, model.pending.len());
+        for popped in 0.. {
+            if !in_bucket(&model) {
+                break;
+            }
+            now = pop_both(&mut q, &mut model)?;
+            if g.weighted_bool(0.3) {
+                let later: Vec<u64> = at.iter().copied().filter(|&t| t >= now).collect();
+                let pusher = canon.local(g);
+                let fanout = g.u64_in(1, 3) as u32;
+                let targets = if later.is_empty() { vec![now] } else { later };
+                canon.dispatch(&mut q, &mut model, g, now, pusher, fanout, &targets, false);
+            }
+            if popped == mid {
+                let want = model.pending.iter().map(|&(t, ..)| t).min();
+                tk_assert_eq!(
+                    q.peek_time().map(SimTime::as_micros),
+                    want,
+                    "mid-bucket peek"
+                );
+                let later: Vec<u64> = at.iter().copied().filter(|&t| t > now).collect();
+                if !later.is_empty() {
+                    canon.batch(&mut q, &mut model, g, now, &later);
+                }
+            }
+        }
+    }
+    while !model.pending.is_empty() {
+        pop_both(&mut q, &mut model)?;
+    }
+    tk_assert_eq!(q.pop(), None, "fully drained");
+    Ok(q.order_stats())
+}
+
+/// Canonical buckets as the engine pushes them are ordered by the linear
+/// pass alone: the pop order is the reference sort, and no entry ever
+/// needs the comparison sort.
+#[test]
+fn canonical_buckets_pop_in_order_without_a_comparison_sort() {
+    check(
+        "canonical_buckets_pop_in_order_without_a_comparison_sort",
+        150,
+        |g| {
+            let stats = canonical_rounds(g, false)?;
+            tk_assert!(stats.linear > 0, "the linear pass ordered nothing");
+            tk_assert_eq!(
+                stats.fallback,
+                0,
+                "a canonical bucket fell back to the sort"
+            );
+            Ok(())
+        },
+    );
+}
+
+/// A bucket the linear pass orders wrongly (one dispatch's pushes out of
+/// push-index order) is caught by its check and sorted instead: the pop
+/// order is still the reference sort.
+#[test]
+fn misordered_buckets_fall_back_to_the_sort_and_still_pop_in_order() {
+    check(
+        "misordered_buckets_fall_back_to_the_sort_and_still_pop_in_order",
+        100,
+        |g| {
+            let stats = canonical_rounds(g, true)?;
+            tk_assert!(stats.fallback > 0, "the misordered bucket passed the check");
             Ok(())
         },
     );
